@@ -10,8 +10,14 @@
      chaos                        run the node-failure chaos campaign
      place                        run the page-placement campaign
      gray                         run the gray-failure breaker-on/off campaign
+     scrub                        run the silent-data-corruption campaign
      serve                        run the open-loop serving campaign (tail SLOs)
-     machine                      describe the simulated platform *)
+     obs <file>                   analyse a trace or metrics snapshot offline
+     machine                      describe the simulated platform
+     disasm <bench>               disassemble a workload's image
+
+   The six campaign subcommands are all made by [campaign_cmd];
+   chaos, scrub and serve also run as soaks. *)
 
 open Cmdliner
 module H = Stramash_harness
@@ -331,119 +337,46 @@ let futex_cmd =
     (Cmd.info "futex" ~doc:"Run the futex microbenchmark")
     Term.(const run $ loops_arg $ obs_term)
 
-(* ---------- campaign plumbing (shared by faults / chaos / place) ---------- *)
+(* ---------- campaigns (faults / chaos / place / gray / scrub / serve) ---------- *)
 
-(* Every campaign subcommand shares one contract: a `-b` bench restricted
-   to the fault-campaign quartet, and exit codes 0 = campaign ran clean,
-   1 = invariant violation or unrecovered failure, 2 = unusable
-   arguments. The bench guard fails fast — before observability sinks are
+(* Every campaign subcommand is built by [campaign_cmd] and shares one
+   contract: exit codes 0 = campaign ran clean, 1 = invariant violation
+   or unrecovered failure, 2 = unusable arguments. A campaign's config
+   term checks its arguments and yields [Error msg] when they are
+   unusable, so the run fails fast — before observability sinks are
    installed or a possibly minutes-long run starts. *)
+
+let ( let* ) = Result.bind
+let usage_error = H.Campaign.(exit_code Unknown_bench)
+
+let seed_arg default doc =
+  Arg.(value & opt int64 default & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
+
 let campaign_bench_arg =
   Arg.(value & opt string "is" & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"is | cg | mg | ft")
 
-let guard_campaign_bench ~campaign bench k =
-  if List.mem bench H.Fault_experiments.benches then k ()
-  else begin
-    Format.eprintf "unknown benchmark %s (%s campaign runs %s)@." bench campaign
-      (String.concat " | " H.Fault_experiments.benches);
-    H.Chaos_experiments.exit_code H.Chaos_experiments.Unknown_bench
-  end
+let check_bench ~campaign bench =
+  if List.mem bench H.Fault_experiments.benches then Ok ()
+  else
+    Error
+      (Printf.sprintf "unknown benchmark %s (%s campaign runs %s)" bench campaign
+         (String.concat " | " H.Fault_experiments.benches))
 
-let verdict_exit = H.Chaos_experiments.exit_code
+(* One structural validation shared by every campaign that arms a plan. *)
+let check_plan config =
+  Result.map_error (Printf.sprintf "invalid fault-plan config: %s") (Plan.validate config)
 
-(* One structural validation shared by every campaign entry point: a bad
-   flag combination fails fast with a message and exit 2, before
-   observability sinks are installed or a machine is built. *)
-let guard_plan_config config k =
-  match Plan.validate config with
-  | Ok () -> k ()
-  | Error msg ->
-      Format.eprintf "invalid fault-plan config: %s@." msg;
-      verdict_exit H.Chaos_experiments.Unknown_bench
+(* What soak mode needs from a campaign: a cell's config at a derived
+   seed, and the config fields --soak-json echoes. *)
+type 'cfg soak = { at_seed : 'cfg -> int64 -> 'cfg; params : 'cfg -> (string * Obs.Json.t) list }
 
-(* Every campaign's JSON snapshot echoes the plan seed and the config
-   fingerprint, so any output file traces back to its exact parameters. *)
-let add_campaign_stamp snap ~seed ~fingerprint =
-  Obs.Snapshot.add_counters snap "campaign"
-    [ ("seed", seed); ("config_fingerprint", fingerprint) ]
+(* Where a --metrics-json snapshot's campaign stamp comes from: the armed
+   plan's registry (filed under the given label), or — for campaigns that
+   arm no plan — the seed and the default plan's fingerprint. Either way
+   any output file traces back to its exact parameters. *)
+type stamp = Plan_registry of string | Default_plan
 
-let stamp_from_registry snap reg =
-  add_campaign_stamp snap ~seed:(Metrics.get reg "plan.seed")
-    ~fingerprint:(Metrics.get reg "plan.config_fingerprint")
-
-(* ---------- faults ---------- *)
-
-let faults_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Machine seed; the fault plan derives from it, so the same seed replays the same faults")
-  in
-  let rate name doc default =
-    Arg.(value & opt float default & info [ name ] ~docv:"RATE" ~doc)
-  in
-  let drop_arg = rate "drop-rate" "Message-drop probability per transmission attempt" 0.05 in
-  let ipi_arg = rate "ipi-loss" "IPI loss (and jitter) probability" 0.02 in
-  let walk_arg = rate "walk-fail" "Transient remote PTE read-failure probability" 0.02 in
-  let ptl_arg = rate "ptl-timeout" "Page-table-lock acquisition timeout probability" 0.01 in
-  let alloc_arg = rate "alloc-fail" "Injected frame-allocator exhaustion probability" 0.005 in
-  let run seed bench drop ipi walk ptl alloc obs =
-    guard_campaign_bench ~campaign:"faults" bench (fun () ->
-        let config =
-          H.Fault_experiments.plan_config ~drop_rate:drop ~ipi_loss:ipi ~walk_fail:walk
-            ~ptl_timeout:ptl ~alloc_fail:alloc ()
-        in
-        guard_plan_config config (fun () ->
-            let plan_metrics = ref None in
-            let extra snap =
-              match !plan_metrics with
-              | Some reg ->
-                  Obs.Snapshot.add_registry snap "fault_plan" reg;
-                  stamp_from_registry snap reg
-              | None -> ()
-            in
-            run_with_obs obs ~extra (fun () ->
-                verdict_exit
-                  (if
-                     H.Fault_experiments.campaign fmt ~seed ~bench ~config
-                       ~on_metrics:(fun reg -> plan_metrics := Some reg)
-                       ()
-                   then H.Chaos_experiments.Clean
-                   else H.Chaos_experiments.Violations))))
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run a deterministic fault-injection campaign and audit kernel invariants")
-    Term.(
-      const run $ seed_arg $ campaign_bench_arg $ drop_arg $ ipi_arg $ walk_arg $ ptl_arg
-      $ alloc_arg $ obs_term)
-
-(* ---------- chaos ---------- *)
-
-let chaos_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0xC4A05L & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Campaign seed; schedule jitter and the machine both derive from it, so the same \
-               seed replays the same kills, restarts, and recoveries byte-for-byte")
-  in
-  let kills_arg =
-    Arg.(value & opt int 3 & info [ "k"; "kills" ] ~docv:"N"
-         ~doc:"Kill/restart cycles to inject, alternating between the two kernel instances")
-  in
-  let downtime_arg =
-    Arg.(value & opt int H.Chaos_experiments.default_downtime
-         & info [ "d"; "downtime" ] ~docv:"CYCLES"
-             ~doc:"Cycles a killed node stays down before restarting (clamped to half the kill gap)")
-  in
-  let placement_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "placement" ] ~docv:"POLICY"
-          ~doc:
-            "Attach a page-placement engine with this policy (static-stramash | static-shm | \
-             adaptive) to both the baseline and the chaos run, so degraded replica collapses \
-             and restart reconciles happen under the campaign's audits")
-  in
+let soak_term =
   let soak_arg =
     Arg.(value & opt int 1 & info [ "soak" ] ~docv:"CELLS"
          ~doc:"Run $(docv) independent campaign cells at derived seeds (seed, seed+1, ...); \
@@ -459,104 +392,178 @@ let chaos_cmd =
          ~doc:"Write the per-cell soak verdicts as JSON to $(docv) (deterministic: contains no \
                timings or host facts, so 1-domain and N-domain soaks write identical files)")
   in
-  let run seed bench kills downtime cache_mode placement soak domains soak_json obs =
-    guard_campaign_bench ~campaign:"chaos" bench (fun () ->
-        match placement with
-        | Some p when Stramash_placement.Policy.of_string p = None ->
-            Format.eprintf "unknown placement policy %s (static-stramash | static-shm | adaptive)@."
-              p;
-            verdict_exit H.Chaos_experiments.Unknown_bench
-        | _ ->
-            let placement = Option.map (fun p ->
-                Option.get (Stramash_placement.Policy.of_string p)) placement in
-            guard_plan_config Plan.default (fun () ->
-                if soak < 1 || domains < 1 then begin
-                  Format.eprintf "chaos: --soak and --domains must be >= 1@.";
-                  verdict_exit H.Chaos_experiments.Unknown_bench
-                end
-                else if soak > 1 || domains > 1 || soak_json <> None then begin
-                  (* Soak mode: cells render into private buffers; the
-                     process-global tracer cannot be shared across them. *)
-                  let trace_file, metrics_file, _ = obs in
-                  if trace_file <> None || metrics_file <> None then begin
-                    Format.eprintf
-                      "chaos: --trace/--metrics-json capture one campaign through the \
-                       process-global tracer and cannot be combined with a soak (--soak/--domains)@.";
-                    verdict_exit H.Chaos_experiments.Unknown_bench
-                  end
-                  else if not (check_writable soak_json) then
-                    verdict_exit H.Chaos_experiments.Unknown_bench
-                  else begin
-                    let verdict, cells =
-                      H.Chaos_experiments.soak fmt ~seed ~bench ~kills ~downtime ~cache_mode
-                        ?placement ~cells:soak ~domains ()
-                    in
-                    (match soak_json with
-                    | Some path ->
-                        let module Json = Obs.Json in
-                        let json =
-                          Json.Obj
-                            [
-                              ("schema", Json.String "stramash-chaos-soak/1");
-                              ("bench", Json.String bench);
-                              ("kills", Json.Int kills);
-                              ( "cells",
-                                Json.List
-                                  (List.map
-                                     (fun (cell, seed, v) ->
-                                       Json.Obj
-                                         [
-                                           ("cell", Json.Int cell);
-                                           ("seed", Json.Int (Int64.to_int seed));
-                                           ( "verdict",
-                                             Json.String
-                                               (H.Chaos_experiments.verdict_to_string v) );
-                                         ])
-                                     cells) );
-                              ( "verdict",
-                                Json.String (H.Chaos_experiments.verdict_to_string verdict) );
-                            ]
-                        in
-                        write_file path (Obs.Json.to_string json ^ "\n");
-                        Format.fprintf fmt "soak json: %s@." path
-                    | None -> ());
-                    verdict_exit verdict
-                  end
-                end
-                else begin
-                  let plan_metrics = ref None in
-                  let extra snap =
-                    match !plan_metrics with
-                    | Some reg ->
-                        Obs.Snapshot.add_registry snap "fault_plan" reg;
-                        stamp_from_registry snap reg
-                    | None -> ()
-                  in
-                  run_with_obs obs ~extra (fun () ->
-                      verdict_exit
-                        (H.Chaos_experiments.campaign fmt ~seed ~bench ~kills ~downtime
-                           ~cache_mode ?placement
-                           ~on_metrics:(fun reg -> plan_metrics := Some reg)
-                           ()))
-                end))
+  Term.(const (fun cells domains json -> (cells, domains, json))
+        $ soak_arg $ domains_arg $ soak_json_arg)
+
+let campaign_cmd ~name ~doc ~seed ~stamp
+    ~(run : ?on_metrics:H.Campaign.on_metrics -> Format.formatter -> 'cfg -> H.Campaign.verdict)
+    ?soak config =
+  let single cfg obs =
+    let registries = ref [] in
+    let add_stamp snap ~seed ~fingerprint =
+      Obs.Snapshot.add_counters snap "campaign"
+        [ ("seed", seed); ("config_fingerprint", fingerprint) ]
+    in
+    let extra snap =
+      List.iter
+        (fun (label, reg) -> Obs.Snapshot.add_registry snap label reg)
+        (List.rev !registries);
+      match stamp with
+      | Plan_registry label ->
+          Option.iter
+            (fun reg ->
+              add_stamp snap ~seed:(Metrics.get reg "plan.seed")
+                ~fingerprint:(Metrics.get reg "plan.config_fingerprint"))
+            (List.assoc_opt label !registries)
+      | Default_plan ->
+          add_stamp snap ~seed:(Int64.to_int (seed cfg))
+            ~fingerprint:(Plan.config_fingerprint Plan.default)
+    in
+    run_with_obs obs ~extra (fun () ->
+        H.Campaign.exit_code
+          (run fmt cfg ~on_metrics:(fun ~label reg -> registries := (label, reg) :: !registries)))
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run a deterministic node-failure chaos campaign: crash-stop kernel kills, \
-          degraded-mode fallback, checkpoint/restore recovery, and invariant audits")
+  let soaked s cfg (cells, domains, json) (trace_file, metrics_file, _) =
+    if cells < 1 || domains < 1 then begin
+      Format.eprintf "%s: --soak and --domains must be >= 1@." name;
+      usage_error
+    end
+    else if trace_file <> None || metrics_file <> None then begin
+      (* Cells render into private buffers; the process-global tracer
+         cannot be shared across them. *)
+      Format.eprintf
+        "%s: --trace/--metrics-json capture one campaign through the process-global tracer and \
+         cannot be combined with a soak (--soak/--domains)@."
+        name;
+      usage_error
+    end
+    else if not (check_writable json) then usage_error
+    else begin
+      let result =
+        H.Campaign.soak fmt ~name ~seed:(seed cfg) ~cells ~domains (fun seed cell_fmt ->
+            run cell_fmt (s.at_seed cfg seed))
+      in
+      Option.iter
+        (fun path ->
+          let params = s.params (s.at_seed cfg (seed cfg)) in
+          write_file path (Obs.Json.to_string (H.Campaign.soak_json ~name ~params result) ^ "\n");
+          Format.fprintf fmt "soak json: %s@." path)
+        json;
+      H.Campaign.exit_code (fst result)
+    end
+  in
+  let main config soak obs =
+    match (config, soak) with
+    | Error msg, _ ->
+        Format.eprintf "%s@." msg;
+        usage_error
+    | Ok cfg, Some (s, ((cells, domains, json) as flags))
+      when cells <> 1 || domains <> 1 || json <> None ->
+        soaked s cfg flags obs
+    | Ok cfg, _ -> single cfg obs
+  in
+  let soak =
+    match soak with
+    | None -> Term.const None
+    | Some s -> Term.(const (fun flags -> Some (s, flags)) $ soak_term)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const main $ config $ soak $ obs_term)
+
+(* ---------- faults ---------- *)
+
+let faults_cmd =
+  let module C = H.Fault_experiments in
+  let rate name doc default =
+    Arg.(value & opt float default & info [ name ] ~docv:"RATE" ~doc)
+  in
+  let drop_arg = rate "drop-rate" "Message-drop probability per transmission attempt" 0.05 in
+  let ipi_arg = rate "ipi-loss" "IPI loss (and jitter) probability" 0.02 in
+  let walk_arg = rate "walk-fail" "Transient remote PTE read-failure probability" 0.02 in
+  let ptl_arg = rate "ptl-timeout" "Page-table-lock acquisition timeout probability" 0.01 in
+  let alloc_arg = rate "alloc-fail" "Injected frame-allocator exhaustion probability" 0.005 in
+  let config seed bench drop_rate ipi_loss walk_fail ptl_timeout alloc_fail =
+    let plan = C.plan_config ~drop_rate ~ipi_loss ~walk_fail ~ptl_timeout ~alloc_fail () in
+    let* () = check_bench ~campaign:"faults" bench in
+    let* () = check_plan plan in
+    Ok { C.seed; bench; plan }
+  in
+  campaign_cmd ~name:"faults"
+    ~doc:"Run a deterministic fault-injection campaign and audit kernel invariants"
+    ~seed:(fun c -> c.C.seed) ~stamp:(Plan_registry "fault_plan") ~run:C.campaign
     Term.(
-      const run $ seed_arg $ campaign_bench_arg $ kills_arg $ downtime_arg $ cache_mode_term
-      $ placement_arg $ soak_arg $ domains_arg $ soak_json_arg $ obs_term)
+      const config
+      $ seed_arg C.default.seed
+          "Machine seed; the fault plan derives from it, so the same seed replays the same faults"
+      $ campaign_bench_arg $ drop_arg $ ipi_arg $ walk_arg $ ptl_arg $ alloc_arg)
+
+(* ---------- chaos ---------- *)
+
+let chaos_cmd =
+  let module C = H.Chaos_experiments in
+  let kills_arg =
+    Arg.(value & opt int C.default.kills & info [ "k"; "kills" ] ~docv:"N"
+         ~doc:"Kill/restart cycles to inject, alternating between the two kernel instances")
+  in
+  let downtime_arg =
+    Arg.(value & opt int C.default.downtime
+         & info [ "d"; "downtime" ] ~docv:"CYCLES"
+             ~doc:"Cycles a killed node stays down before restarting (clamped to half the kill gap)")
+  in
+  let placement_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "placement" ] ~docv:"POLICY"
+          ~doc:
+            "Attach a page-placement engine with this policy (static-stramash | static-shm | \
+             adaptive) to both the baseline and the chaos run, so degraded replica collapses \
+             and restart reconciles happen under the campaign's audits")
+  in
+  let config seed bench kills downtime cache_mode placement =
+    let* () = check_bench ~campaign:"chaos" bench in
+    let* placement =
+      match placement with
+      | None -> Ok None
+      | Some p -> (
+          match Stramash_placement.Policy.of_string p with
+          | Some policy -> Ok (Some policy)
+          | None ->
+              Error
+                (Printf.sprintf
+                   "unknown placement policy %s (static-stramash | static-shm | adaptive)" p))
+    in
+    let* () = check_plan Plan.default in
+    Ok { C.seed; bench; kills; downtime; cache_mode; placement }
+  in
+  let params (c : C.config) =
+    Obs.Json.
+      [
+        ("bench", String c.bench);
+        ("kills", Int c.kills);
+        ("downtime", Int c.downtime);
+        ( "placement",
+          match c.placement with
+          | Some p -> String (Stramash_placement.Policy.to_string p)
+          | None -> Null );
+      ]
+  in
+  campaign_cmd ~name:"chaos"
+    ~doc:
+      "Run a deterministic node-failure chaos campaign: crash-stop kernel kills, \
+       degraded-mode fallback, checkpoint/restore recovery, and invariant audits"
+    ~seed:(fun c -> c.C.seed) ~stamp:(Plan_registry "fault_plan") ~run:C.campaign
+    ~soak:{ at_seed = (fun c seed -> { c with C.seed }); params }
+    Term.(
+      const config
+      $ seed_arg C.default.seed
+          "Campaign seed; schedule jitter and the machine both derive from it, so the same seed \
+           replays the same kills, restarts, and recoveries byte-for-byte"
+      $ campaign_bench_arg $ kills_arg $ downtime_arg $ cache_mode_term $ placement_arg)
 
 (* ---------- place ---------- *)
 
 let place_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0x91ACEL & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Machine seed; placement decisions derive from the seeded run, so the same seed \
-               replays the same replicate/collapse/migrate stream byte-for-byte")
-  in
+  let module C = H.Placement_experiments in
   let policy_conv =
     let parse s =
       match Stramash_placement.Policy.of_string s with
@@ -569,7 +576,7 @@ let place_cmd =
   let policy_arg =
     Arg.(
       value
-      & opt policy_conv Stramash_placement.Policy.Adaptive
+      & opt policy_conv C.default.policy
       & info [ "p"; "policy" ] ~docv:"POLICY"
           ~doc:"Placement policy: static-stramash | static-shm | adaptive")
   in
@@ -580,351 +587,185 @@ let place_cmd =
       & info [ "e"; "epoch" ] ~docv:"QUANTA"
           ~doc:"Scheduling quanta per placement epoch (default: engine default)")
   in
-  let run seed bench policy epoch cache_mode obs =
-    guard_campaign_bench ~campaign:"placement" bench (fun () ->
-        guard_plan_config Plan.default (fun () ->
-            let placement_metrics = ref None in
-            let extra snap =
-              (match !placement_metrics with
-              | Some reg -> Obs.Snapshot.add_registry snap "placement" reg
-              | None -> ());
-              (* No fault plan is armed here; the stamp still records the
-                 seed and the (default) config the run was built from. *)
-              add_campaign_stamp snap ~seed:(Int64.to_int seed)
-                ~fingerprint:(Plan.config_fingerprint Plan.default)
-            in
-            run_with_obs obs ~extra (fun () ->
-                verdict_exit
-                  (H.Placement_experiments.campaign fmt ~seed ~bench ~policy ?epoch ~cache_mode
-                     ~on_metrics:(fun reg -> placement_metrics := Some reg)
-                     ()))))
+  let config seed bench policy epoch cache_mode =
+    let* () = check_bench ~campaign:"placement" bench in
+    let* () = check_plan Plan.default in
+    Ok { C.seed; bench; policy; epoch; cache_mode }
   in
-  Cmd.v
-    (Cmd.info "place"
-       ~doc:
-         "Run the page-placement campaign: a seeded policy run with kernel invariant audits, a \
-          determinism replay, and a Paranoid-engine cross-check")
+  campaign_cmd ~name:"place"
+    ~doc:
+      "Run the page-placement campaign: a seeded policy run with kernel invariant audits, a \
+       determinism replay, and a Paranoid-engine cross-check"
+    ~seed:(fun c -> c.C.seed) ~stamp:Default_plan ~run:C.campaign
     Term.(
-      const run $ seed_arg $ campaign_bench_arg $ policy_arg $ epoch_arg $ cache_mode_term
-      $ obs_term)
+      const config
+      $ seed_arg C.default.seed
+          "Machine seed; placement decisions derive from the seeded run, so the same seed \
+           replays the same replicate/collapse/migrate stream byte-for-byte"
+      $ campaign_bench_arg $ policy_arg $ epoch_arg $ cache_mode_term)
 
 (* ---------- gray ---------- *)
 
 let gray_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0x64A7L & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Campaign seed; the gray schedule's jitter and both machines derive from it, so \
-               the same seed replays the same slow-downs, flaps, and breaker decisions \
-               byte-for-byte")
-  in
+  let module C = H.Gray_experiments in
   let factor_arg =
-    Arg.(value & opt float H.Gray_experiments.default_slow_factor
+    Arg.(value & opt float C.default.factor
          & info [ "f"; "factor" ] ~docv:"FACTOR"
              ~doc:"Service-time inflation inside the slow-down window (>= 1.0)")
   in
-  let run seed bench factor cache_mode obs =
-    guard_campaign_bench ~campaign:"gray" bench (fun () ->
-        guard_plan_config (H.Gray_experiments.probe_config ~factor) (fun () ->
-            let registries = ref [] in
-            let extra snap =
-              List.iter
-                (fun (label, reg) ->
-                  Obs.Snapshot.add_registry snap label reg;
-                  if label = "gray_on" then stamp_from_registry snap reg)
-                (List.rev !registries)
-            in
-            run_with_obs obs ~extra (fun () ->
-                verdict_exit
-                  (H.Gray_experiments.campaign fmt ~seed ~bench ~factor ~cache_mode
-                     ~on_metrics:(fun ~label reg ->
-                       registries := (label, reg) :: !registries)
-                     ()))))
+  let config seed bench factor cache_mode =
+    let* () = check_bench ~campaign:"gray" bench in
+    let cfg = { C.seed; bench; factor; cache_mode } in
+    let* () = check_plan (C.probe_config cfg) in
+    Ok cfg
   in
-  Cmd.v
-    (Cmd.info "gray"
-       ~doc:
-         "Run a deterministic gray-failure campaign: a slow-but-alive origin node (latency \
-          inflation, link flaps, PTL stalls), executed breaker-off then breaker-on, with \
-          per-operation latency percentiles comparing the two")
-    Term.(const run $ seed_arg $ campaign_bench_arg $ factor_arg $ cache_mode_term $ obs_term)
+  campaign_cmd ~name:"gray"
+    ~doc:
+      "Run a deterministic gray-failure campaign: a slow-but-alive origin node (latency \
+       inflation, link flaps, PTL stalls), executed breaker-off then breaker-on, with \
+       per-operation latency percentiles comparing the two"
+    ~seed:(fun c -> c.C.seed) ~stamp:(Plan_registry "gray_on") ~run:C.campaign
+    Term.(
+      const config
+      $ seed_arg C.default.seed
+          "Campaign seed; the gray schedule's jitter and both machines derive from it, so the \
+           same seed replays the same slow-downs, flaps, and breaker decisions byte-for-byte"
+      $ campaign_bench_arg $ factor_arg $ cache_mode_term)
 
 (* ---------- scrub ---------- *)
 
 let scrub_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0x5DCL & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Campaign seed; the corruption schedule, any kill schedule, and the machine all \
-               derive from it, so the same seed replays the same flips, detections, and \
-               repairs byte-for-byte")
-  in
+  let module C = H.Integrity_experiments in
   let flips_arg =
-    Arg.(value & opt int H.Integrity_experiments.default_flips
+    Arg.(value & opt int C.default.flips
          & info [ "f"; "flips" ] ~docv:"N"
              ~doc:"Page bit-flip injection events to schedule across the run")
   in
   let msg_rate_arg =
-    Arg.(value & opt float H.Integrity_experiments.default_msg_rate
+    Arg.(value & opt float C.default.msg_rate
          & info [ "msg-rate" ] ~docv:"RATE"
              ~doc:"Per-message payload-corruption probability (half of these truncate instead \
                    of flipping bytes); detected by the CRC32 frame and repaired by retransmit")
   in
   let pte_rate_arg =
-    Arg.(value & opt float H.Integrity_experiments.default_pte_rate
+    Arg.(value & opt float C.default.pte_rate
          & info [ "pte-rate" ] ~docv:"RATE"
              ~doc:"Per-install stale-PTE corruption probability in the remote walker; detected \
                    by the verify-after-install read-back and repaired by reinstall")
   in
   let kills_arg =
-    Arg.(value & opt int 0 & info [ "k"; "kills" ] ~docv:"N"
+    Arg.(value & opt int C.default.kills & info [ "k"; "kills" ] ~docv:"N"
          ~doc:"Kill/restart cycles to fold into the same plan; every death's checkpoint is \
-               torn, proving the versioned-header rejection and the shadow fallback")
+               torn, proving the versioned-header rejection and the shadow fallback. Soak \
+               cells run at least one, composing the corruption and kill/restart schedules")
   in
-  let soak_arg =
-    Arg.(value & opt int 1 & info [ "soak" ] ~docv:"CELLS"
-         ~doc:"Run $(docv) independent campaign cells at derived seeds (seed, seed+1, ...); \
-               cells default to one torn-checkpoint kill each, composing the corruption and \
-               kill/restart schedules; the soak verdict is the worst across cells")
+  let config seed bench flips msg_rate pte_rate kills cache_mode =
+    let* () = check_bench ~campaign:"scrub" bench in
+    let cfg = { C.seed; bench; flips; msg_rate; pte_rate; kills; cache_mode } in
+    let* () = check_plan (C.probe_config cfg) in
+    Ok cfg
   in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
-         ~doc:"Host domains to spread soak cells across. Cell outputs are buffered and emitted \
-               in cell order, so the soak's output and verdicts are byte-identical for any $(docv)")
+  let params (c : C.config) =
+    Obs.Json.
+      [
+        ("bench", String c.bench);
+        ("flips", Int c.flips);
+        ("msg_rate", Float c.msg_rate);
+        ("pte_rate", Float c.pte_rate);
+        ("kills", Int c.kills);
+      ]
   in
-  let soak_json_arg =
-    Arg.(value & opt (some string) None & info [ "soak-json" ] ~docv:"FILE"
-         ~doc:"Write the per-cell soak verdicts as JSON to $(docv) (deterministic: contains no \
-               timings or host facts, so 1-domain and N-domain soaks write identical files)")
-  in
-  let run seed bench flips msg_rate pte_rate kills cache_mode soak domains soak_json obs =
-    guard_campaign_bench ~campaign:"scrub" bench (fun () ->
-        guard_plan_config
-          (H.Integrity_experiments.probe_config ~flips ~msg_rate ~pte_rate)
-          (fun () ->
-            if soak < 1 || domains < 1 then begin
-              Format.eprintf "scrub: --soak and --domains must be >= 1@.";
-              verdict_exit H.Chaos_experiments.Unknown_bench
-            end
-            else if soak > 1 || domains > 1 || soak_json <> None then begin
-              let trace_file, metrics_file, _ = obs in
-              if trace_file <> None || metrics_file <> None then begin
-                Format.eprintf
-                  "scrub: --trace/--metrics-json capture one campaign through the \
-                   process-global tracer and cannot be combined with a soak (--soak/--domains)@.";
-                verdict_exit H.Chaos_experiments.Unknown_bench
-              end
-              else if not (check_writable soak_json) then
-                verdict_exit H.Chaos_experiments.Unknown_bench
-              else begin
-                let verdict, cells =
-                  H.Integrity_experiments.soak fmt ~seed ~bench ~flips ~msg_rate ~pte_rate
-                    ~kills:(max 1 kills) ~cache_mode ~cells:soak ~domains ()
-                in
-                (match soak_json with
-                | Some path ->
-                    let module Json = Obs.Json in
-                    let json =
-                      Json.Obj
-                        [
-                          ("schema", Json.String "stramash-scrub-soak/1");
-                          ("bench", Json.String bench);
-                          ("flips", Json.Int flips);
-                          ("kills", Json.Int (max 1 kills));
-                          ( "cells",
-                            Json.List
-                              (List.map
-                                 (fun (cell, seed, v) ->
-                                   Json.Obj
-                                     [
-                                       ("cell", Json.Int cell);
-                                       ("seed", Json.Int (Int64.to_int seed));
-                                       ( "verdict",
-                                         Json.String
-                                           (H.Chaos_experiments.verdict_to_string v) );
-                                     ])
-                                 cells) );
-                          ( "verdict",
-                            Json.String (H.Chaos_experiments.verdict_to_string verdict) );
-                        ]
-                    in
-                    write_file path (Obs.Json.to_string json ^ "\n");
-                    Format.fprintf fmt "soak json: %s@." path
-                | None -> ());
-                verdict_exit verdict
-              end
-            end
-            else begin
-              let registries = ref [] in
-              let extra snap =
-                List.iter
-                  (fun (label, reg) ->
-                    Obs.Snapshot.add_registry snap label reg;
-                    if label = "scrub" then stamp_from_registry snap reg)
-                  (List.rev !registries)
-              in
-              run_with_obs obs ~extra (fun () ->
-                  verdict_exit
-                    (H.Integrity_experiments.campaign fmt ~seed ~bench ~flips ~msg_rate
-                       ~pte_rate ~kills ~cache_mode
-                       ~on_metrics:(fun ~label reg ->
-                         registries := (label, reg) :: !registries)
-                       ()))
-            end))
-  in
-  Cmd.v
-    (Cmd.info "scrub"
-       ~doc:
-         "Run a deterministic silent-data-corruption campaign: seeded page bit flips, message \
-          corruption, stale PTE installs and torn checkpoints, detected by CRC framing, a \
-          background page scrubber and verify-after-install, and healed by replica-backed \
-          repair, retransmit, and checkpoint fallback")
+  campaign_cmd ~name:"scrub"
+    ~doc:
+      "Run a deterministic silent-data-corruption campaign: seeded page bit flips, message \
+       corruption, stale PTE installs and torn checkpoints, detected by CRC framing, a \
+       background page scrubber and verify-after-install, and healed by replica-backed \
+       repair, retransmit, and checkpoint fallback"
+    ~seed:(fun c -> c.C.seed) ~stamp:(Plan_registry "scrub") ~run:C.campaign
+    ~soak:{ at_seed = (fun c seed -> { c with C.seed; kills = max 1 c.C.kills }); params }
     Term.(
-      const run $ seed_arg $ campaign_bench_arg $ flips_arg $ msg_rate_arg $ pte_rate_arg
-      $ kills_arg $ cache_mode_term $ soak_arg $ domains_arg $ soak_json_arg $ obs_term)
+      const config
+      $ seed_arg C.default.seed
+          "Campaign seed; the corruption schedule, any kill schedule, and the machine all \
+           derive from it, so the same seed replays the same flips, detections, and repairs \
+           byte-for-byte"
+      $ campaign_bench_arg $ flips_arg $ msg_rate_arg $ pte_rate_arg $ kills_arg
+      $ cache_mode_term)
 
 (* ---------- serve (open-loop serving campaign) ---------- *)
 
 let serve_cmd =
-  let module Serve = Stramash_serve.Serve in
-  let seed_arg =
-    Arg.(value & opt int64 0x5E12E5L & info [ "s"; "seed" ] ~docv:"SEED"
-         ~doc:"Campaign seed; the arrival schedule, key stream, fault schedules and machine all \
-               derive from it, so the same seed replays the same campaign byte-for-byte")
-  in
+  let module C = H.Serve_experiments in
+  let d = C.default in
   let keys_arg =
-    Arg.(value & opt int (1 lsl 20) & info [ "K"; "keys" ] ~docv:"N"
+    Arg.(value & opt int d.keys & info [ "K"; "keys" ] ~docv:"N"
          ~doc:"Keyspace size (64 B slots in a real process segment; default 1 Mi keys)")
   in
   let theta_arg =
-    Arg.(value & opt float 0.99 & info [ "theta" ] ~docv:"T"
+    Arg.(value & opt float d.theta & info [ "theta" ] ~docv:"T"
          ~doc:"Zipfian popularity exponent (> 0; rank 0 is the hottest key)")
   in
   let rate_arg =
-    Arg.(value & opt float 20_000.0 & info [ "r"; "rate" ] ~docv:"RPS"
+    Arg.(value & opt float d.rate & info [ "r"; "rate" ] ~docv:"RPS"
          ~doc:"Open-loop arrival rate in requests per second; arrivals are stamped by the \
                schedule, never by the previous reply")
   in
   let requests_arg =
-    Arg.(value & opt int 20_000 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Requests per cell")
+    Arg.(value & opt int d.requests & info [ "n"; "requests" ] ~docv:"N" ~doc:"Requests per cell")
   in
   let payload_arg =
-    Arg.(value & opt int 1024 & info [ "payload" ] ~docv:"BYTES" ~doc:"Value payload per request")
+    Arg.(value & opt int d.payload
+         & info [ "payload" ] ~docv:"BYTES" ~doc:"Value payload per request")
   in
   let factor_arg =
-    Arg.(value & opt float 3.0 & info [ "factor" ] ~docv:"F"
+    Arg.(value & opt float d.factor & info [ "factor" ] ~docv:"F"
          ~doc:"Gray slow-down inflation factor for the gray-composed cell")
   in
-  let comp name doc =
-    Arg.(value & opt bool true & info [ name ] ~docv:"BOOL" ~doc)
-  in
+  let comp name doc = Arg.(value & opt bool true & info [ name ] ~docv:"BOOL" ~doc) in
   let placement_arg = comp "placement" "Include the adaptive-placement-composed cell" in
   let chaos_arg = comp "chaos" "Include the chaos kill/restart-composed cell" in
   let gray_arg = comp "gray" "Include the gray slow-down-composed cell" in
   let scrub_arg = comp "scrub" "Include the corruption + scrubber-composed cell" in
-  let soak_arg =
-    Arg.(value & opt int 1 & info [ "soak" ] ~docv:"CELLS"
-         ~doc:"Run $(docv) independent campaigns at derived seeds (seed, seed+1, ...); the soak \
-               verdict is the worst across cells")
-  in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
-         ~doc:"Host domains to spread soak cells across. Cell outputs are buffered and emitted \
-               in cell order, so the soak's output and verdicts are byte-identical for any $(docv)")
-  in
-  let soak_json_arg =
-    Arg.(value & opt (some string) None & info [ "soak-json" ] ~docv:"FILE"
-         ~doc:"Write the per-cell soak verdicts as JSON to $(docv) (deterministic: contains no \
-               timings or host facts, so 1-domain and N-domain soaks write identical files)")
-  in
-  let run seed keys theta rate requests payload factor placement chaos gray scrub cache_mode soak
-      domains soak_json obs =
-    (* Fail fast on an unusable config — before sinks are installed or a
-       machine is built — with the shared exit-2 contract. *)
-    let probe =
-      { Serve.default with Serve.keys; theta; rate; requests; payload; seed; cache_mode }
+  let config seed keys theta rate requests payload factor placement chaos gray scrub cache_mode =
+    let cfg =
+      { C.seed; keys; theta; rate; requests; payload; cache_mode; placement; chaos; gray; scrub;
+        factor }
     in
-    match Serve.validate probe with
-    | Error msg ->
-        Format.eprintf "invalid serve config: %s@." msg;
-        verdict_exit H.Chaos_experiments.Unknown_bench
-    | Ok () ->
-        if soak < 1 || domains < 1 then begin
-          Format.eprintf "serve: --soak and --domains must be >= 1@.";
-          verdict_exit H.Chaos_experiments.Unknown_bench
-        end
-        else if soak > 1 || domains > 1 || soak_json <> None then begin
-          let trace_file, metrics_file, _ = obs in
-          if trace_file <> None || metrics_file <> None then begin
-            Format.eprintf
-              "serve: --trace/--metrics-json capture one campaign through the process-global \
-               tracer and cannot be combined with a soak (--soak/--domains)@.";
-            verdict_exit H.Chaos_experiments.Unknown_bench
-          end
-          else if not (check_writable soak_json) then
-            verdict_exit H.Chaos_experiments.Unknown_bench
-          else begin
-            let verdict, cells =
-              H.Serve_experiments.soak fmt ~seed ~keys ~rate ~requests ~cache_mode ~cells:soak
-                ~domains ()
-            in
-            (match soak_json with
-            | Some path ->
-                let module Json = Obs.Json in
-                let json =
-                  Json.Obj
-                    [
-                      ("schema", Json.String "stramash-serve-soak/1");
-                      ("keys", Json.Int keys);
-                      ("rate_rps", Json.Float rate);
-                      ("requests", Json.Int requests);
-                      ( "cells",
-                        Json.List
-                          (List.map
-                             (fun (cell, seed, v) ->
-                               Json.Obj
-                                 [
-                                   ("cell", Json.Int cell);
-                                   ("seed", Json.Int (Int64.to_int seed));
-                                   ( "verdict",
-                                     Json.String (H.Serve_experiments.verdict_to_string v) );
-                                 ])
-                             cells) );
-                      ("verdict", Json.String (H.Serve_experiments.verdict_to_string verdict));
-                    ]
-                in
-                write_file path (Obs.Json.to_string json ^ "\n");
-                Format.fprintf fmt "soak json: %s@." path
-            | None -> ());
-            verdict_exit verdict
-          end
-        end
-        else begin
-          let serve_metrics = ref [] in
-          let extra snap =
-            List.iter
-              (fun (label, reg) -> Obs.Snapshot.add_registry snap ("serve_" ^ label) reg)
-              (List.rev !serve_metrics);
-            add_campaign_stamp snap ~seed:(Int64.to_int seed)
-              ~fingerprint:(Plan.config_fingerprint Plan.default)
-          in
-          run_with_obs obs ~extra (fun () ->
-              verdict_exit
-                (H.Serve_experiments.campaign fmt ~seed ~keys ~theta ~rate ~requests ~payload
-                   ~cache_mode ~placement ~chaos ~gray ~scrub ~factor
-                   ~on_metrics:(fun ~label reg ->
-                     serve_metrics := (label, reg) :: !serve_metrics)
-                   ()))
-        end
+    let* () =
+      Result.map_error (Printf.sprintf "invalid serve config: %s")
+        (Stramash_serve.Serve.validate (C.base cfg))
+    in
+    Ok cfg
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the open-loop serving campaign: million-key Zipfian request harness with \
-          per-request tail-latency SLOs, measured under Popcorn and Stramash and composed with \
-          chaos kill/restart, gray slow-down, corruption scrubbing, and adaptive placement")
+  let params (c : C.config) =
+    Obs.Json.
+      [
+        ("keys", Int c.keys);
+        ("theta", Float c.theta);
+        ("rate_rps", Float c.rate);
+        ("requests", Int c.requests);
+        ("payload", Int c.payload);
+        ("factor", Float c.factor);
+        ("placement", Bool c.placement);
+        ("chaos", Bool c.chaos);
+        ("gray", Bool c.gray);
+        ("scrub", Bool c.scrub);
+      ]
+  in
+  campaign_cmd ~name:"serve"
+    ~doc:
+      "Run the open-loop serving campaign: million-key Zipfian request harness with \
+       per-request tail-latency SLOs, measured under Popcorn and Stramash and composed with \
+       chaos kill/restart, gray slow-down, corruption scrubbing, and adaptive placement"
+    ~seed:(fun c -> c.C.seed) ~stamp:Default_plan ~run:C.campaign
+    ~soak:{ at_seed = (fun c seed -> { c with C.seed }); params }
     Term.(
-      const run $ seed_arg $ keys_arg $ theta_arg $ rate_arg $ requests_arg $ payload_arg
-      $ factor_arg $ placement_arg $ chaos_arg $ gray_arg $ scrub_arg $ cache_mode_term
-      $ soak_arg $ domains_arg $ soak_json_arg $ obs_term)
+      const config
+      $ seed_arg d.seed
+          "Campaign seed; the arrival schedule, key stream, fault schedules and machine all \
+           derive from it, so the same seed replays the same campaign byte-for-byte"
+      $ keys_arg $ theta_arg $ rate_arg $ requests_arg $ payload_arg $ factor_arg
+      $ placement_arg $ chaos_arg $ gray_arg $ scrub_arg $ cache_mode_term)
 
 (* ---------- obs (offline causal-trace analysis) ---------- *)
 

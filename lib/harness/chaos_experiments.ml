@@ -29,23 +29,26 @@ module Checkpoint = Stramash_core.Checkpoint
 module W = Stramash_workloads
 module Placement_engine = Stramash_placement.Engine
 
-type verdict = Clean | Violations | Unrecovered | Unknown_bench
-
-let verdict_to_string = function
-  | Clean -> "CLEAN"
-  | Violations -> "VIOLATIONS"
-  | Unrecovered -> "UNRECOVERED"
-  | Unknown_bench -> "UNKNOWN-BENCH"
-
-(* The normalised CLI contract shared with `faults`: 0 = campaign ran and
-   every fault recovered; 1 = invariant violation or unrecovered failure;
-   2 = unusable arguments. *)
-let exit_code = function
-  | Clean -> 0
-  | Violations | Unrecovered -> 1
-  | Unknown_bench -> 2
-
 let default_downtime = Cycles.of_us 40.0
+
+type config = {
+  seed : int64;
+  bench : string;
+  kills : int;
+  downtime : int;
+  cache_mode : Cache_sim.mode;
+  placement : Stramash_placement.Policy.t option;
+}
+
+let default =
+  {
+    seed = 0xC4A05L;
+    bench = "is";
+    kills = 3;
+    downtime = default_downtime;
+    cache_mode = Cache_sim.Fast;
+    placement = None;
+  }
 
 (* Optionally run the campaign with a page-placement engine attached —
    the placement acceptance gate reruns the kill/restart soak with the
@@ -120,14 +123,13 @@ let schedule ~seed ~wall ~kills ~downtime ~origin ~anchor =
             }),
         downtime )
 
-let campaign fmt ?(seed = 0xC4A05L) ?(bench = "is") ?(kills = 3) ?(downtime = default_downtime)
-    ?(cache_mode = Cache_sim.Fast) ?placement
-    ?(on_metrics = fun (_ : Metrics.registry) -> ()) () =
+let campaign ?(on_metrics = Campaign.no_metrics) fmt
+    { seed; bench; kills; downtime; cache_mode; placement } =
   match Fault_experiments.spec_of_bench bench with
   | None ->
       Format.fprintf fmt "unknown benchmark %s (chaos campaign runs %s)@." bench
         (String.concat " | " Fault_experiments.benches);
-      Unknown_bench
+      Campaign.Unknown_bench
   | Some spec ->
       (* --- fault-free baseline: the fingerprint the survivors must match *)
       let baseline =
@@ -221,15 +223,15 @@ let campaign fmt ?(seed = 0xC4A05L) ?(bench = "is") ?(kills = 3) ?(downtime = de
       in
       let publish_metrics () =
         match Machine.inject_plan machine with
-        | Some plan -> on_metrics (Plan.metrics plan)
+        | Some plan -> on_metrics ~label:"fault_plan" (Plan.metrics plan)
         | None -> ()
       in
       (match run () with
       | exception Fault.Error e ->
           Format.fprintf fmt "unrecovered failure: %s@." (Fault.to_string e);
           publish_metrics ();
-          Format.fprintf fmt "campaign verdict: %s@." (verdict_to_string Unrecovered);
-          Unrecovered
+          Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string Unrecovered);
+          Campaign.Unrecovered
       | result, chk ->
           Format.fprintf fmt
             "chaos run: wall=%d cycles, %d instructions, %d migrations, %d messages@."
@@ -258,51 +260,13 @@ let campaign fmt ?(seed = 0xC4A05L) ?(bench = "is") ?(kills = 3) ?(downtime = de
             Format.fprintf fmt "warning: downtime/degraded counters did not advance@.";
           publish_metrics ();
           let verdict =
-            if !recoveries < List.length events then Unrecovered
+            if !recoveries < List.length events then Campaign.Unrecovered
             else if !dirty_audits = 0 && fingerprint_ok then Clean
             else Violations
           in
           Format.fprintf fmt "campaign verdict: %s (%d recoveries, %d dirty audits)@."
-            (verdict_to_string verdict) !recoveries !dirty_audits;
+            (Campaign.verdict_to_string verdict) !recoveries !dirty_audits;
           verdict)
 
-(* --- soak: K campaign cells over D host domains ------------------------
-
-   Each cell is a full campaign at a derived seed (seed + cell index)
-   rendered into its own buffer, so cells share no mutable state and the
-   printed output is a pure function of the arguments: cells run via
-   {!Stramash_sim.Domain_pool} on [domains] host domains, but buffers are
-   emitted in cell order whatever the host interleaving — a 1-domain and
-   an N-domain soak of the same arguments are byte-identical. Tracing
-   must stay uninstalled during a multi-domain soak (the tracer is
-   process-global); the CLI enforces that. *)
-
-let soak fmt ?(seed = 0xC4A05L) ?(bench = "is") ?(kills = 3) ?(downtime = default_downtime)
-    ?(cache_mode = Cache_sim.Fast) ?placement ~cells ~domains () =
-  let cell i () =
-    let buf = Buffer.create 4096 in
-    let bfmt = Format.formatter_of_buffer buf in
-    let seed_i = Int64.add seed (Int64.of_int i) in
-    let verdict = campaign bfmt ~seed:seed_i ~bench ~kills ~downtime ~cache_mode ?placement () in
-    Format.pp_print_flush bfmt ();
-    (seed_i, verdict, Buffer.contents buf)
-  in
-  (* The header names no host facts (domain count included): the printed
-     soak is byte-identical however the cells were spread. *)
-  Format.fprintf fmt "chaos soak: bench=%s cells=%d base seed=%Ld@." bench cells seed;
-  let results = Stramash_sim.Domain_pool.map ~domains (Array.init cells cell) in
-  Array.iteri
-    (fun i (seed_i, verdict, output) ->
-      Format.fprintf fmt "@.--- cell %d (seed %Ld) ---@.%s" i seed_i output;
-      ignore verdict)
-    results;
-  let worst =
-    Array.fold_left
-      (fun acc (_, v, _) -> if exit_code v > exit_code acc then v else acc)
-      Clean results
-  in
-  Format.fprintf fmt "@.soak verdict: %s (%d cells)@." (verdict_to_string worst) cells;
-  (worst, Array.to_list results |> List.mapi (fun i (s, v, _) -> (i, s, v)))
-
-(* Experiments-registry entry: one soak with the default schedule. *)
-let chaos fmt = ignore (campaign fmt ())
+(* Experiments-registry entry: one campaign with the default schedule. *)
+let chaos fmt = ignore (campaign fmt default)

@@ -3,21 +3,22 @@
     survivor-fingerprint check against a fault-free baseline. Output is a
     pure function of (seed, bench, kills, downtime, cache mode). *)
 
-type verdict =
-  | Clean  (** Every kill recovered, all audits clean, checksum matches. *)
-  | Violations  (** Campaign ran but an audit or the fingerprint failed. *)
-  | Unrecovered  (** A typed fault escaped recovery (e.g. [Node_dead]). *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
-
-val verdict_to_string : verdict -> string
-
-val exit_code : verdict -> int
-(** Normalised CLI contract shared with [faults]: [Clean] → 0,
-    [Violations]/[Unrecovered] → 1, [Unknown_bench] → 2. *)
-
 val default_downtime : int
 (** Cycles a killed node stays down before its scheduled restart
     (clamped against the kill gap so events on a node never overlap). *)
+
+type config = {
+  seed : int64;  (** Schedule jitter and both machines derive from it. *)
+  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  kills : int;  (** Kill/restart cycles, alternating between the nodes. *)
+  downtime : int;  (** Requested cycles down per kill. *)
+  cache_mode : Stramash_cache.Cache_sim.mode;
+  placement : Stramash_placement.Policy.t option;
+      (** Page-placement policy attached to both machines, if any. *)
+}
+
+val default : config
+(** Seed [0xC4A05], [is], 3 kills, {!default_downtime}, Fast, no placement. *)
 
 val checksum :
   Stramash_machine.Machine.t -> proc:Stramash_kernel.Process.t -> int64 option
@@ -33,17 +34,7 @@ val far_anchor :
     than its origin — the anchor both the chaos and gray schedules build
     around. *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?kills:int ->
-  ?downtime:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?placement:Stramash_placement.Policy.t ->
-  ?on_metrics:(Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  verdict
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Fingerprint the bench fault-free, then replay it under [kills]
     alternating-node kill/restart cycles spread over the baseline wall
     with seeded jitter. [placement] attaches a page-placement engine
@@ -52,29 +43,8 @@ val campaign :
     the same audits. Prints the schedule, per-recovery audits, the
     fault plan's chaos counters, per-node downtime, and a final
     ["campaign verdict: ..."] line for CI grep. [on_metrics] receives
-    the chaos run's fault-plan registry once the run settles (the CLI
-    folds it into [--metrics-json] snapshots). *)
-
-val soak :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?kills:int ->
-  ?downtime:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?placement:Stramash_placement.Policy.t ->
-  cells:int ->
-  domains:int ->
-  unit ->
-  verdict * (int * int64 * verdict) list
-(** Run [cells] independent campaigns at derived seeds
-    ([seed + cell index]) across [domains] host domains via
-    {!Stramash_sim.Domain_pool}. Each cell renders into a private buffer
-    emitted in cell order, so the printed output — and the returned
-    [(cell, seed, verdict)] list — is byte-identical whatever [domains]
-    is; the overall verdict is the worst across cells. The caller must
-    not have a tracer installed when [domains > 1] (the tracer is
-    process-global; the CLI rejects that combination). *)
+    the chaos run's fault-plan registry (label ["fault_plan"]) once the
+    run settles. *)
 
 val chaos : Format.formatter -> unit
-(** The ["chaos"] experiment: one soak with the default schedule. *)
+(** The ["chaos"] experiment: one campaign with the default schedule. *)

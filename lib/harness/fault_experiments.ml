@@ -35,12 +35,15 @@ let benches = W.Npb_suite.fig9_names
 
 let spec_of_bench bench = List.assoc_opt bench (W.Npb_suite.fig9_set ~small:true)
 
-let campaign fmt ?(seed = 0xC0FFEEL) ?(bench = "is") ?(config = plan_config ())
-    ?(on_metrics = fun (_ : Stramash_sim.Metrics.registry) -> ()) () =
+type config = { seed : int64; bench : string; plan : Plan.config }
+
+let default = { seed = 0xC0FFEEL; bench = "is"; plan = plan_config () }
+
+let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; plan } =
   match spec_of_bench bench with
   | None ->
       Format.fprintf fmt "unknown benchmark %s (faults campaign runs is | cg | mg | ft)@." bench;
-      false
+      Campaign.Unknown_bench
   | Some spec ->
       let machine =
         Machine.create
@@ -48,7 +51,7 @@ let campaign fmt ?(seed = 0xC0FFEEL) ?(bench = "is") ?(config = plan_config ())
             Machine.default_config with
             Machine.os = Machine.Stramash_kernel_os;
             seed;
-            inject = Some config;
+            inject = Some plan;
           }
       in
       let proc, thread = Machine.load machine spec in
@@ -61,7 +64,7 @@ let campaign fmt ?(seed = 0xC0FFEEL) ?(bench = "is") ?(config = plan_config ())
       (match Machine.inject_plan machine with
       | Some plan ->
           Plan.report fmt plan;
-          on_metrics (Plan.metrics plan)
+          on_metrics ~label:"fault_plan" (Plan.metrics plan)
       | None -> ());
       let env = Machine.env machine in
       let extra =
@@ -78,12 +81,14 @@ let campaign fmt ?(seed = 0xC0FFEEL) ?(bench = "is") ?(config = plan_config ())
       Format.fprintf fmt "teardown audit (%d frames tracked): %a@." (List.length mapped)
         Audit.pp teardown;
       let clean = Audit.is_clean audit && Audit.is_clean teardown in
-      Format.fprintf fmt "campaign verdict: %s@." (if clean then "CLEAN" else "VIOLATIONS");
-      clean
+      let verdict = if clean then Campaign.Clean else Campaign.Violations in
+      Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string verdict);
+      verdict
 
 (* Experiments-registry entry: one moderate-intensity campaign plus a
    no-fault control, both audited. *)
 let faults fmt =
-  ignore (campaign fmt ~seed:0xFA017L ());
+  let config = { default with seed = 0xFA017L } in
+  ignore (campaign fmt config);
   Format.fprintf fmt "@.";
-  ignore (campaign fmt ~seed:0xFA017L ~config:Plan.default ())
+  ignore (campaign fmt { config with plan = Plan.default })

@@ -20,18 +20,20 @@ val plan_config :
 (** Moderate-intensity defaults (5% message drops, 2% IPI loss / walk
     faults, 1% PTL timeouts, 0.5% allocation denials). *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?config:Stramash_fault_inject.Plan.config ->
-  ?on_metrics:(Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  bool
+type config = {
+  seed : int64;  (** Machine seed; the plan's streams derive from it. *)
+  bench : string;  (** One of {!benches}. *)
+  plan : Stramash_fault_inject.Plan.config;  (** The armed fault plan. *)
+}
+
+val default : config
+(** Seed [0xC0FFEE], [is], {!plan_config} defaults. *)
+
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Run the campaign; print run stats, the plan's injection counters and
-    recovery-latency histogram, and both audits. Returns [true] iff both
-    audits are clean. [on_metrics] receives the armed plan's registry
-    (the CLI folds it into [--metrics-json] snapshots). *)
+    recovery-latency histogram, and both audits. [Clean] iff both audits
+    are clean. [on_metrics] receives the armed plan's registry (label
+    ["fault_plan"]). *)
 
 val faults : Format.formatter -> unit
 (** The ["faults"] experiment: an injected campaign plus a no-fault

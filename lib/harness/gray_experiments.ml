@@ -29,15 +29,12 @@ module Stramash_fault = Stramash_core.Stramash_fault
 module Global_alloc = Stramash_core.Global_alloc
 module Checkpoint = Stramash_core.Checkpoint
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-  | Violations
-  | Unrecovered
-  | Unknown_bench
-
-let verdict_to_string = Chaos_experiments.verdict_to_string
-let exit_code = Chaos_experiments.exit_code
 let default_slow_factor = 3.0
+
+type config = { seed : int64; bench : string; factor : float; cache_mode : Cache_sim.mode }
+
+let default =
+  { seed = 0x64A7L; bench = "is"; factor = default_slow_factor; cache_mode = Cache_sim.Fast }
 
 (* The gray schedule, anchored like the chaos kill schedule: the slow
    window opens just after the baseline first lands the thread on the
@@ -92,7 +89,7 @@ let gray_config ~slow ~flaps ~stalls ~breaker =
 (* The config shape the CLI validates before committing to a run: the
    campaign's constant knobs plus a placeholder window carrying the
    user's factor, so a bad --factor fails fast with a message. *)
-let probe_config ~factor =
+let probe_config { factor; _ } =
   gray_config
     ~slow:[ { Plan.g_node = Node_id.X86; g_start = 1; g_len = 1; g_factor = factor } ]
     ~flaps:[] ~stalls:[] ~breaker:true
@@ -210,14 +207,12 @@ let pp_op_row fmt name off on =
   in
   Format.fprintf fmt "  %-12s off: %-44s on: %s@." name (cell off) (cell on)
 
-let campaign fmt ?(seed = 0x64A7L) ?(bench = "is") ?(factor = default_slow_factor)
-    ?(cache_mode = Cache_sim.Fast) ?(on_metrics = fun ~label:_ (_ : Metrics.registry) -> ()) ()
-    =
+let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; factor; cache_mode } =
   match Fault_experiments.spec_of_bench bench with
   | None ->
       Format.fprintf fmt "unknown benchmark %s (gray campaign runs %s)@." bench
         (String.concat " | " Fault_experiments.benches);
-      Unknown_bench
+      Campaign.Unknown_bench
   | Some spec ->
       (* --- fault-free baseline: wall + checksum fingerprint + anchor *)
       let baseline =
@@ -283,7 +278,7 @@ let campaign fmt ?(seed = 0x64A7L) ?(bench = "is") ?(factor = default_slow_facto
             (if fingerprint_ok run then "matches" else "DIFFERS from"))
         [ ("breaker-off", off); ("breaker-on", on) ];
       let verdict =
-        if off.r_error <> None || on.r_error <> None then Unrecovered
+        if off.r_error <> None || on.r_error <> None then Campaign.Unrecovered
         else if
           off.r_dirty = 0 && on.r_dirty = 0 && fingerprint_ok off && fingerprint_ok on
           && trips >= 1 && fallbacks >= 1 && p99_verdict
@@ -291,8 +286,8 @@ let campaign fmt ?(seed = 0x64A7L) ?(bench = "is") ?(factor = default_slow_facto
         else Violations
       in
       Format.fprintf fmt "campaign verdict: %s (%d+%d dirty audits, %d trips)@."
-        (verdict_to_string verdict) off.r_dirty on.r_dirty trips;
+        (Campaign.verdict_to_string verdict) off.r_dirty on.r_dirty trips;
       verdict
 
 (* Experiments-registry entry: one A/B soak with the default schedule. *)
-let gray fmt = ignore (campaign fmt ())
+let gray fmt = ignore (campaign fmt default)

@@ -3,37 +3,24 @@
     off, then on — with per-operation latency percentiles comparing the
     two. Output is a pure function of (seed, bench, factor, cache mode). *)
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-      (** Both runs audited clean, checksums match the fault-free
-          baseline, the breaker tripped and diverted at least one fault,
-          and breaker-on p99 fault latency is strictly below breaker-off. *)
-  | Violations  (** Campaign ran but an audit, fingerprint or the p99 gate failed. *)
-  | Unrecovered  (** A typed fault escaped recovery in either run. *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
-
-val verdict_to_string : verdict -> string
-
-val exit_code : verdict -> int
-(** Shared CLI contract: [Clean] → 0, [Violations]/[Unrecovered] → 1,
-    [Unknown_bench] → 2. *)
-
 val default_slow_factor : float
 
-val probe_config : factor:float -> Stramash_fault_inject.Plan.config
-(** The campaign's config shape with a placeholder one-cycle window
-    carrying [factor] — what the CLI feeds {!Plan.validate} before
+type config = {
+  seed : int64;  (** The gray schedule's jitter and both machines derive from it. *)
+  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  factor : float;  (** Service-time inflation inside the slow window (>= 1). *)
+  cache_mode : Stramash_cache.Cache_sim.mode;
+}
+
+val default : config
+(** Seed [0x64A7], [is], {!default_slow_factor}, Fast. *)
+
+val probe_config : config -> Stramash_fault_inject.Plan.config
+(** The campaign's plan shape with a placeholder one-cycle window
+    carrying the config's [factor] — what the CLI feeds {!Plan.validate} before
     committing to the (possibly minutes-long) run. *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?factor:float ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  verdict
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Fingerprint the bench fault-free, then replay it twice under the
     same seeded gray schedule (slow window on the origin anchored to the
     first far-node landing, an overlapping PTL stall window, a link-flap
@@ -42,8 +29,10 @@ val campaign :
     runs' audits and fault-plan reports, a per-op p50/p95/p99 comparison
     table, and a final ["campaign verdict: ..."] line for CI grep.
     [on_metrics] receives each run's fault-plan registry (labels
-    ["gray_off"] and ["gray_on"]) so the CLI can fold both into
-    [--metrics-json] snapshots. *)
+    ["gray_off"] and ["gray_on"]). [Clean] requires both runs audited
+    clean, checksums matching the fault-free baseline, at least one
+    breaker trip and diverted fault, and breaker-on fault p99 strictly
+    below breaker-off. *)
 
 val gray : Format.formatter -> unit
-(** The ["gray"] experiment: one A/B soak with the default schedule. *)
+(** The ["gray"] experiment: one A/B campaign with the default schedule. *)

@@ -38,14 +38,6 @@ module Env = Stramash_kernel.Env
 module Placement_engine = Stramash_placement.Engine
 module Policy = Stramash_placement.Policy
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-  | Violations
-  | Unrecovered
-  | Unknown_bench
-
-let verdict_to_string = Chaos_experiments.verdict_to_string
-let exit_code = Chaos_experiments.exit_code
 let default_flips = 6
 let default_msg_rate = 0.0005
 let default_pte_rate = 0.002
@@ -114,22 +106,41 @@ let scrub_config ~flips ~msg_rate ~pte_rate ~events =
     node_events = events;
   }
 
+type config = {
+  seed : int64;
+  bench : string;
+  flips : int;
+  msg_rate : float;
+  pte_rate : float;
+  kills : int;
+  cache_mode : Cache_sim.mode;
+}
+
+let default =
+  {
+    seed = 0x5DCL;
+    bench = "is";
+    flips = default_flips;
+    msg_rate = default_msg_rate;
+    pte_rate = default_pte_rate;
+    kills = 0;
+    cache_mode = Cache_sim.Fast;
+  }
+
 (* The config shape the CLI validates before committing to a run: the
    user's knobs in place, a placeholder flip carrying nothing exotic. *)
-let probe_config ~flips ~msg_rate ~pte_rate =
+let probe_config { flips; msg_rate; pte_rate; _ } =
   scrub_config
     ~flips:(List.init (max 1 flips) (fun i -> { Plan.bf_at = 1 + i; bf_node = 0; bf_bits = 1 }))
     ~msg_rate ~pte_rate ~events:[]
 
-let campaign fmt ?(seed = 0x5DCL) ?(bench = "is") ?(flips = default_flips)
-    ?(msg_rate = default_msg_rate) ?(pte_rate = default_pte_rate) ?(kills = 0)
-    ?(cache_mode = Cache_sim.Fast)
-    ?(on_metrics = fun ~label:_ (_ : Metrics.registry) -> ()) () =
+let campaign ?(on_metrics = Campaign.no_metrics) fmt
+    { seed; bench; flips; msg_rate; pte_rate; kills; cache_mode } =
   match Fault_experiments.spec_of_bench bench with
   | None ->
       Format.fprintf fmt "unknown benchmark %s (scrub campaign runs %s)@." bench
         (String.concat " | " Fault_experiments.benches);
-      Unknown_bench
+      Campaign.Unknown_bench
   | Some spec ->
       (* --- corruption-free baseline: fingerprint + schedule anchor *)
       let baseline =
@@ -264,8 +275,8 @@ let campaign fmt ?(seed = 0x5DCL) ?(bench = "is") ?(flips = default_flips)
       | exception Fault.Error e ->
           Format.fprintf fmt "unrecovered failure: %s@." (Fault.to_string e);
           publish ();
-          Format.fprintf fmt "campaign verdict: %s@." (verdict_to_string Unrecovered);
-          Unrecovered
+          Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string Unrecovered);
+          Campaign.Unrecovered
       | result, chk ->
           Format.fprintf fmt
             "scrub run: wall=%d cycles, %d instructions, %d migrations, %d messages@."
@@ -312,7 +323,7 @@ let campaign fmt ?(seed = 0x5DCL) ?(bench = "is") ?(flips = default_flips)
              detection window may legitimately observe the corrupt value
              — that exposure is what the campaign measures. *)
           let verdict =
-            if !recoveries < List.length kill_events then Unrecovered
+            if !recoveries < List.length kill_events then Campaign.Unrecovered
             else if
               !dirty_audits = 0 && injected > 0 && detected = injected && unrepaired = 0
               && repaired + fallbacks = detected
@@ -321,44 +332,8 @@ let campaign fmt ?(seed = 0x5DCL) ?(bench = "is") ?(flips = default_flips)
             else Violations
           in
           Format.fprintf fmt "campaign verdict: %s (%d dirty audits, %d/%d detected)@."
-            (verdict_to_string verdict) !dirty_audits detected injected;
+            (Campaign.verdict_to_string verdict) !dirty_audits detected injected;
           verdict)
 
-(* --- soak: corruption + kill/restart cells over host domains ----------
-
-   The PR-8 composition: each cell is a full scrub campaign with a
-   kill/restart schedule folded into the same plan, at a derived seed,
-   rendered into a private buffer and emitted in cell order — the
-   printed soak is byte-identical whatever [domains] is. *)
-
-let soak fmt ?(seed = 0x5DCL) ?(bench = "is") ?(flips = default_flips)
-    ?(msg_rate = default_msg_rate) ?(pte_rate = default_pte_rate) ?(kills = 1)
-    ?(cache_mode = Cache_sim.Fast) ~cells ~domains () =
-  let cell i () =
-    let buf = Buffer.create 4096 in
-    let bfmt = Format.formatter_of_buffer buf in
-    let seed_i = Int64.add seed (Int64.of_int i) in
-    let verdict =
-      campaign bfmt ~seed:seed_i ~bench ~flips ~msg_rate ~pte_rate ~kills ~cache_mode ()
-    in
-    Format.pp_print_flush bfmt ();
-    (seed_i, verdict, Buffer.contents buf)
-  in
-  Format.fprintf fmt "scrub soak: bench=%s cells=%d base seed=%Ld kills/cell=%d@." bench cells
-    seed kills;
-  let results = Stramash_sim.Domain_pool.map ~domains (Array.init cells cell) in
-  Array.iteri
-    (fun i (seed_i, verdict, output) ->
-      Format.fprintf fmt "@.--- cell %d (seed %Ld) ---@.%s" i seed_i output;
-      ignore verdict)
-    results;
-  let worst =
-    Array.fold_left
-      (fun acc (_, v, _) -> if exit_code v > exit_code acc then v else acc)
-      Clean results
-  in
-  Format.fprintf fmt "@.soak verdict: %s (%d cells)@." (verdict_to_string worst) cells;
-  (worst, Array.to_list results |> List.mapi (fun i (s, v, _) -> (i, s, v)))
-
 (* Experiments-registry entry: one campaign with the default schedule. *)
-let scrub fmt = ignore (campaign fmt ())
+let scrub fmt = ignore (campaign fmt default)

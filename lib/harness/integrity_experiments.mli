@@ -6,44 +6,29 @@
     adaptive placement engine attached. Output is a pure function of
     (seed, bench, knobs, cache mode). *)
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-      (** Every injected corruption detected, nothing unrepaired, at
-          least 90% healed without the checkpoint fallback, all audits
-          (including the post-sweep fingerprint proof) clean, and every
-          scheduled kill recovered. *)
-  | Violations  (** Campaign ran but a detection, repair or audit gate failed. *)
-  | Unrecovered  (** A typed fault escaped recovery, or a kill never recovered. *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
-
-val verdict_to_string : verdict -> string
-
-val exit_code : verdict -> int
-(** Shared CLI contract: [Clean] → 0, [Violations]/[Unrecovered] → 1,
-    [Unknown_bench] → 2. *)
-
 val default_flips : int
 val default_msg_rate : float
 val default_pte_rate : float
 
-val probe_config :
-  flips:int -> msg_rate:float -> pte_rate:float -> Stramash_fault_inject.Plan.config
-(** The campaign's config shape with placeholder flip events carrying the
-    user's knobs — what the CLI feeds {!Plan.validate} before committing
+type config = {
+  seed : int64;  (** Corruption/kill schedules and the machines derive from it. *)
+  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  flips : int;  (** Page bit-flip events spread over the run. *)
+  msg_rate : float;  (** Per-message corruption probability (half truncate). *)
+  pte_rate : float;  (** Per-install stale-PTE probability. *)
+  kills : int;  (** Kill/restart cycles folded in, every checkpoint torn. *)
+  cache_mode : Stramash_cache.Cache_sim.mode;
+}
+
+val default : config
+(** Seed [0x5DC], [is], the [default_*] rates, no kills, Fast. *)
+
+val probe_config : config -> Stramash_fault_inject.Plan.config
+(** The campaign's plan shape with placeholder flip events carrying the
+    config's knobs — what the CLI feeds {!Plan.validate} before committing
     to the run. *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?flips:int ->
-  ?msg_rate:float ->
-  ?pte_rate:float ->
-  ?kills:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  verdict
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Fingerprint the bench corruption-free, then replay it under a seeded
     corruption schedule anchored to the first far-node landing, with the
     scrubber armed. [kills] > 0 folds a kill/restart schedule into the
@@ -51,26 +36,10 @@ val campaign :
     rejection and the shadow fallback. Prints the schedule, audits, the
     fault-plan report, detection/repair/exposure counters, and a final
     ["campaign verdict: ..."] line for CI grep. [on_metrics] receives the
-    run's registry (label ["scrub"]) for [--metrics-json]. *)
-
-val soak :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?flips:int ->
-  ?msg_rate:float ->
-  ?pte_rate:float ->
-  ?kills:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  cells:int ->
-  domains:int ->
-  unit ->
-  verdict * (int * int64 * verdict) list
-(** K campaign cells (corruption + kill/restart in one plan; [kills]
-    defaults to 1 per cell) at derived seeds over D host domains via
-    {!Stramash_sim.Domain_pool}, each rendered into a private buffer and
-    emitted in cell order — byte-identical for any [domains]. Returns the
-    worst verdict and the per-cell (index, seed, verdict) list. *)
+    run's registry (label ["scrub"]). [Clean] requires every injected
+    corruption detected, nothing unrepaired, at least 90% healed without
+    the checkpoint fallback, all audits (including the post-sweep
+    fingerprint proof) clean, and every scheduled kill recovered. *)
 
 val scrub : Format.formatter -> unit
 (** The ["scrub"] experiment: one campaign with the default schedule. *)

@@ -151,13 +151,29 @@ let audit_now fmt machine ~proc ~dirty label =
 let fingerprint (result : Runner.result) counters =
   (result.Runner.wall_cycles, result.Runner.instructions, result.Runner.migrations, counters)
 
-let campaign fmt ?(seed = default_seed) ?(bench = "cg") ?(policy = Policy.Adaptive) ?epoch
-    ?(cache_mode = Cache_sim.Fast) ?(on_metrics = fun (_ : Metrics.registry) -> ()) () =
+type config = {
+  seed : int64;
+  bench : string;
+  policy : Policy.t;
+  epoch : int option;
+  cache_mode : Cache_sim.mode;
+}
+
+let default =
+  {
+    seed = default_seed;
+    bench = "cg";
+    policy = Policy.Adaptive;
+    epoch = None;
+    cache_mode = Cache_sim.Fast;
+  }
+
+let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; policy; epoch; cache_mode } =
   match Fault_experiments.spec_of_bench bench with
   | None ->
       Format.fprintf fmt "unknown benchmark %s (placement campaign runs %s)@." bench
         (String.concat " | " Fault_experiments.benches);
-      Chaos_experiments.Unknown_bench
+      Campaign.Unknown_bench
   | Some spec ->
       Format.fprintf fmt "placement campaign: bench=%s policy=%s seed=%Ld epoch=%s@." bench
         (Policy.to_string policy) seed
@@ -172,10 +188,9 @@ let campaign fmt ?(seed = default_seed) ?(bench = "cg") ?(policy = Policy.Adapti
       | exception Cache_sim.Divergence msg ->
           incr dirty;
           Format.fprintf fmt "paranoid divergence: %s@." msg;
-          Format.fprintf fmt "campaign verdict: %s@."
-            (Chaos_experiments.verdict_to_string Chaos_experiments.Violations);
-          on_metrics (Metrics.registry ());
-          Chaos_experiments.Violations
+          Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string Violations);
+          on_metrics ~label:"placement" (Metrics.registry ());
+          Campaign.Violations
       | machine, proc, result, counters ->
           Format.fprintf fmt "run: wall=%d cycles, %d instructions, %d migrations@."
             result.Runner.wall_cycles result.Runner.instructions result.Runner.migrations;
@@ -221,16 +236,14 @@ let campaign fmt ?(seed = default_seed) ?(bench = "cg") ?(policy = Policy.Adapti
           let registry = Metrics.registry () in
           List.iter (fun (k, v) -> Metrics.set registry k v) counters;
           Metrics.set registry "placement.wall_cycles" result.Runner.wall_cycles;
-          on_metrics registry;
-          let verdict =
-            if !dirty = 0 then Chaos_experiments.Clean else Chaos_experiments.Violations
-          in
+          on_metrics ~label:"placement" registry;
+          let verdict = if !dirty = 0 then Campaign.Clean else Campaign.Violations in
           Format.fprintf fmt "campaign verdict: %s (%d dirty checks)@."
-            (Chaos_experiments.verdict_to_string verdict) !dirty;
+            (Campaign.verdict_to_string verdict) !dirty;
           verdict)
 
 (* Experiments-registry entry: crossover table plus one Adaptive CG
    verdict soak. *)
 let placement fmt =
   crossover fmt;
-  ignore (campaign fmt ())
+  ignore (campaign fmt default)

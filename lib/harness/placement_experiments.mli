@@ -40,21 +40,24 @@ val full_spec_of_bench : string -> Stramash_machine.Spec.t option
 val crossover : Format.formatter -> unit
 (** The adaptive-vs-static table over is/cg/mg/ft. *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?bench:string ->
-  ?policy:Stramash_placement.Policy.t ->
-  ?epoch:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?on_metrics:(Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  Chaos_experiments.verdict
+type config = {
+  seed : int64;  (** Machine seed; placement decisions derive from the seeded run. *)
+  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  policy : Stramash_placement.Policy.t;
+  epoch : int option;  (** Quanta per placement epoch; [None] = engine default. *)
+  cache_mode : Stramash_cache.Cache_sim.mode;
+}
+
+val default : config
+(** Seed [0x91ACE], [cg], Adaptive, engine-default epoch, Fast. *)
+
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Seeded verdict run (defaults: Adaptive on cg). [Clean] requires a
     clean invariant audit and teardown, a byte-identical same-seed
     replay, and Paranoid-engine agreement on the fingerprint (wall,
     instructions, migrations, placement counters). [on_metrics]
-    receives the placement counter snapshot plus the wall. *)
+    receives the placement counter snapshot plus the wall (label
+    ["placement"]). *)
 
 val placement : Format.formatter -> unit
 (** Experiments-registry entry: [crossover] plus one Adaptive cg

@@ -10,10 +10,39 @@ module Fault = Stramash_fault_inject.Fault
 module Serve = Stramash_serve.Serve
 module Slo = Stramash_serve.Slo
 
-type verdict = Chaos_experiments.verdict = Clean | Violations | Unrecovered | Unknown_bench
+type config = {
+  seed : int64;
+  keys : int;
+  theta : float;
+  rate : float;
+  requests : int;
+  payload : int;
+  cache_mode : Cache_sim.mode;
+  placement : bool;
+  chaos : bool;
+  gray : bool;
+  scrub : bool;
+  factor : float;
+}
 
-let verdict_to_string = Chaos_experiments.verdict_to_string
-let exit_code = Chaos_experiments.exit_code
+let default =
+  {
+    seed = 0x5E12E5L;
+    keys = 1 lsl 20;
+    theta = 0.99;
+    rate = 20_000.0;
+    requests = 20_000;
+    payload = 1024;
+    cache_mode = Cache_sim.Fast;
+    placement = true;
+    chaos = true;
+    gray = true;
+    scrub = true;
+    factor = 3.0;
+  }
+
+let base { seed; keys; theta; rate; requests; payload; cache_mode; _ } =
+  { Serve.default with Serve.keys; theta; rate; requests; payload; seed; cache_mode }
 
 (* Expected wall span of an open-loop run: the arrival schedule's mean
    covers it regardless of service times (the last arrival lands near
@@ -86,18 +115,16 @@ let run_cell ~label cfg =
   Format.pp_print_flush b ();
   (outcome, Buffer.contents buf)
 
-let campaign fmt ?(seed = 0x5E12E5L) ?(keys = 1 lsl 20) ?(theta = 0.99) ?(rate = 20_000.0)
-    ?(requests = 20_000) ?(payload = 1024) ?(cache_mode = Cache_sim.Fast) ?(placement = true)
-    ?(chaos = true) ?(gray = true) ?(scrub = true) ?(factor = 3.0)
-    ?(on_metrics = fun ~label:_ (_ : Metrics.registry) -> ()) () =
-  let base =
-    { Serve.default with keys; theta; rate; requests; payload; seed; cache_mode }
+let campaign ?(on_metrics = Campaign.no_metrics) fmt config =
+  let { seed; keys; theta; rate; requests; payload; placement; chaos; gray; scrub; factor; _ } =
+    config
   in
+  let base = base config in
   match Serve.validate base with
   | Error msg ->
       Format.fprintf fmt "serve campaign: invalid config: %s@." msg;
-      Format.fprintf fmt "campaign verdict: %s@." (verdict_to_string Unknown_bench);
-      Unknown_bench
+      Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string Unknown_bench);
+      Campaign.Unknown_bench
   | Ok () -> (
       let span = expected_span ~rate ~requests in
       Format.fprintf fmt
@@ -131,7 +158,7 @@ let campaign fmt ?(seed = 0x5E12E5L) ?(keys = 1 lsl 20) ?(theta = 0.99) ?(rate =
             if label <> "stramash" then
               Format.fprintf fmt "  p99 delta vs stramash baseline: %+.1fus@."
                 (p99_us outcome.Serve.o_all -. p99_us baseline.Serve.o_all);
-            on_metrics ~label (Serve.registry_of outcome))
+            on_metrics ~label:("serve_" ^ label) (Serve.registry_of outcome))
           results;
         (* Same-seed replay: the baseline and the chaos-composed cell must
            reproduce their rendered reports byte-for-byte. *)
@@ -153,39 +180,17 @@ let campaign fmt ?(seed = 0x5E12E5L) ?(keys = 1 lsl 20) ?(theta = 0.99) ?(rate =
           baseline.Serve.o_slo.Slo.pass
           && ((not placement) || (outcome_of "stramash+placement").Serve.o_slo.Slo.pass)
         in
-        let verdict = if replays_ok && slo_ok then Clean else Violations in
-        Format.fprintf fmt "campaign verdict: %s (slo %s, replays %s)@." (verdict_to_string verdict)
+        let verdict = if replays_ok && slo_ok then Campaign.Clean else Campaign.Violations in
+        Format.fprintf fmt "campaign verdict: %s (slo %s, replays %s)@."
+          (Campaign.verdict_to_string verdict)
           (if slo_ok then "pass" else "fail")
           (if replays_ok then "identical" else "diverged");
         verdict
       with Fault.Error e ->
         Format.fprintf fmt "unrecovered fault: %a@." Fault.pp e;
-        Format.fprintf fmt "campaign verdict: %s@." (verdict_to_string Unrecovered);
-        Unrecovered)
-
-let soak fmt ?(seed = 0x5E12E5L) ?(keys = 1 lsl 20) ?(rate = 20_000.0) ?(requests = 20_000)
-    ?(cache_mode = Cache_sim.Fast) ~cells ~domains () =
-  let cell i () =
-    let buf = Buffer.create 4096 in
-    let bfmt = Format.formatter_of_buffer buf in
-    let seed_i = Int64.add seed (Int64.of_int i) in
-    let verdict = campaign bfmt ~seed:seed_i ~keys ~rate ~requests ~cache_mode () in
-    Format.pp_print_flush bfmt ();
-    (seed_i, verdict, Buffer.contents buf)
-  in
-  Format.fprintf fmt "serve soak: cells=%d base seed=%Ld@." cells seed;
-  let results = Stramash_sim.Domain_pool.map ~domains (Array.init cells cell) in
-  Array.iteri
-    (fun i (seed_i, verdict, output) ->
-      Format.fprintf fmt "@.--- cell %d (seed %Ld) ---@.%s" i seed_i output;
-      ignore verdict)
-    results;
-  let worst =
-    Array.fold_left (fun acc (_, v, _) -> if exit_code v > exit_code acc then v else acc) Clean results
-  in
-  Format.fprintf fmt "@.soak verdict: %s (%d cells)@." (verdict_to_string worst) cells;
-  (worst, Array.to_list results |> List.mapi (fun i (s, v, _) -> (i, s, v)))
+        Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string Unrecovered);
+        Campaign.Unrecovered)
 
 (* Experiments-registry entry: one reduced-size campaign (the full-size
    matrix is the CLI's and CI's job). *)
-let serve fmt = ignore (campaign fmt ~keys:65_536 ~requests:6_000 ())
+let serve fmt = ignore (campaign fmt { default with keys = 65_536; requests = 6_000 })

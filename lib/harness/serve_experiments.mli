@@ -6,21 +6,28 @@
     function of (seed, keys, theta, rate, requests, payload, cache mode,
     composition toggles). *)
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-      (** Every cell completed, the Stramash baseline (and placement
-          cell, when enabled) met the SLO, and both the baseline and the
-          chaos-composed cell replayed byte-identically from the same
-          seed. *)
-  | Violations  (** Campaign ran but an SLO gate or a replay comparison failed. *)
-  | Unrecovered  (** A typed fault escaped recovery inside a cell. *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
+type config = {
+  seed : int64;  (** Arrivals, key stream, fault schedules and machines derive from it. *)
+  keys : int;  (** Keyspace size. *)
+  theta : float;  (** Zipfian popularity exponent. *)
+  rate : float;  (** Open-loop arrival rate, requests per second. *)
+  requests : int;  (** Requests per cell. *)
+  payload : int;  (** Value payload bytes per request. *)
+  cache_mode : Stramash_cache.Cache_sim.mode;
+  placement : bool;  (** Run the adaptive-placement-composed cell. *)
+  chaos : bool;  (** Run the chaos kill/restart-composed cell. *)
+  gray : bool;  (** Run the gray slow-down-composed cell. *)
+  scrub : bool;  (** Run the corruption + scrubber-composed cell. *)
+  factor : float;  (** Gray slow-down inflation for the gray cell. *)
+}
 
-val verdict_to_string : verdict -> string
+val default : config
+(** Seed [0x5E12E5], 2^20 keys, theta 0.99, 20k req/s, 20k requests,
+    1 KiB payload, Fast, every composition on, factor 3. *)
 
-val exit_code : verdict -> int
-(** Shared CLI contract: [Clean] → 0, [Violations]/[Unrecovered] → 1,
-    [Unknown_bench] → 2. *)
+val base : config -> Stramash_serve.Serve.config
+(** The Stramash baseline cell's serving config, which every other cell
+    derives from — what the CLI validates before committing to a run. *)
 
 val chaos_inject :
   seed:int64 -> span:int -> Stramash_fault_inject.Plan.config
@@ -37,47 +44,17 @@ val scrub_inject : Stramash_fault_inject.Plan.config
 (** Stale-PTE corruption on the remote-walker install path plus the
     background scrubber — the corruption composition. *)
 
-val campaign :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?keys:int ->
-  ?theta:float ->
-  ?rate:float ->
-  ?requests:int ->
-  ?payload:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?placement:bool ->
-  ?chaos:bool ->
-  ?gray:bool ->
-  ?scrub:bool ->
-  ?factor:float ->
-  ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
-  unit ->
-  verdict
+val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Run the cell matrix — popcorn-shm and stramash baselines, then the
     enabled compositions (placement / chaos / gray / scrub, all on by
     default) — printing each cell's per-op latency table, SLO verdict
     and p99 delta vs the Stramash baseline, then replay the baseline and
     the chaos cell from the same seed and compare byte-for-byte. Ends
     with a ["campaign verdict: ..."] line for CI grep. [on_metrics]
-    receives each cell's [serve.*] registry, labelled by cell name. *)
-
-val soak :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?keys:int ->
-  ?rate:float ->
-  ?requests:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  cells:int ->
-  domains:int ->
-  unit ->
-  verdict * (int * int64 * verdict) list
-(** Run [cells] independent campaigns at derived seeds (seed + cell)
-    across [domains] host domains via {!Stramash_sim.Domain_pool}; cell
-    output renders into private buffers emitted in cell order, so the
-    soak is byte-identical whatever [domains] is. The caller must not
-    have a tracer installed when [domains > 1]. *)
+    receives each cell's [serve.*] registry, labelled ["serve_<cell>"].
+    [Clean] requires every cell to complete, the Stramash baseline (and
+    the placement cell, when enabled) to meet the SLO, and the baseline
+    and chaos-composed cell to replay byte-identically. *)
 
 val serve : Format.formatter -> unit
 (** The ["serve"] experiments-registry entry: one reduced-size campaign. *)

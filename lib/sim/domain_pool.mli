@@ -17,7 +17,8 @@
       campaign cell outright) — the pool adds no locking beyond the
       work-claim cursor.
 
-    Used by the bench harness's [--domains] replica scaling and the chaos
-    soak's campaign cells. *)
+    Used by the bench harness's [--domains] replica scaling and by
+    [Stramash_harness.Campaign.soak], the one soak loop that spreads the
+    chaos, scrub and serve campaigns' cells over host domains. *)
 
 val map : domains:int -> (unit -> 'a) array -> 'a array

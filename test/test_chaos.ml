@@ -35,6 +35,7 @@ module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module FE = Stramash_harness.Fault_experiments
 module CE = Stramash_harness.Chaos_experiments
+module Campaign = Stramash_harness.Campaign
 module B = Stramash_isa.Builder
 module Codegen = Stramash_isa.Codegen
 module Interp = Stramash_isa.Interp
@@ -360,7 +361,7 @@ let test_kill_without_restart_is_unrecovered () =
 let render_chaos ~seed =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  let verdict = CE.campaign fmt ~seed ~bench:"is" () in
+  let verdict = CE.campaign fmt { CE.default with seed } in
   Format.pp_print_flush fmt ();
   (verdict, Buffer.contents buf)
 
@@ -372,22 +373,18 @@ let contains out sub =
 let test_chaos_campaign_deterministic () =
   let v1, out1 = render_chaos ~seed:42L in
   let v2, out2 = render_chaos ~seed:42L in
-  checkb "clean verdict" true (v1 = CE.Clean && v2 = CE.Clean);
+  checkb "clean verdict" true (v1 = Campaign.Clean && v2 = Campaign.Clean);
   Alcotest.(check string) "byte-identical output" out1 out2;
   checkb "kills actually happened" true (contains out1 "chaos.x86.deaths");
   checkb "degraded walks exercised" true (contains out1 "chaos.degraded_walks");
   checkb "downtime metered" true (contains out1 "chaos.downtime_cycles");
   checkb "survivor fingerprint matches" true (contains out1 "(matches baseline)")
 
-let test_exit_codes () =
-  checki "clean" 0 (CE.exit_code CE.Clean);
-  checki "violations" 1 (CE.exit_code CE.Violations);
-  checki "unrecovered" 1 (CE.exit_code CE.Unrecovered);
-  checki "unknown bench" 2 (CE.exit_code CE.Unknown_bench);
+let test_campaign_unknown_bench () =
   let buf = Buffer.create 64 in
   let fmt = Format.formatter_of_buffer buf in
   checkb "campaign rejects unknown bench" true
-    (CE.campaign fmt ~bench:"nope" () = CE.Unknown_bench)
+    (CE.campaign fmt { CE.default with bench = "nope" } = Campaign.Unknown_bench)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_stale_token_never_validates ]
 
@@ -421,6 +418,6 @@ let () =
         [
           Alcotest.test_case "unrecovered kill" `Quick test_kill_without_restart_is_unrecovered;
           Alcotest.test_case "soak determinism" `Slow test_chaos_campaign_deterministic;
-          Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "unknown bench" `Quick test_campaign_unknown_bench;
         ] );
     ]

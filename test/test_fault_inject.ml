@@ -263,9 +263,9 @@ let test_teardown_check_flags_leak () =
 let render_campaign ~seed ~config =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  let clean = FE.campaign fmt ~seed ~bench:"is" ~config () in
+  let verdict = FE.campaign fmt { FE.default with seed; plan = config } in
   Format.pp_print_flush fmt ();
-  (clean, Buffer.contents buf)
+  (verdict = Stramash_harness.Campaign.Clean, Buffer.contents buf)
 
 let test_campaign_deterministic () =
   let config = FE.plan_config () in

@@ -9,6 +9,7 @@ module Metrics = Stramash_sim.Metrics
 module Plan = Stramash_fault_inject.Plan
 module Health = Stramash_fault_inject.Health
 module GE = Stramash_harness.Gray_experiments
+module Campaign = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -282,20 +283,21 @@ let test_plan_backoff_matches_legacy_when_unarmed () =
 
 let test_campaign_unknown_bench () =
   let fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  checkb "unknown bench" true (GE.campaign fmt ~bench:"nope" () = GE.Unknown_bench)
+  checkb "unknown bench" true
+    (GE.campaign fmt { GE.default with bench = "nope" } = Campaign.Unknown_bench)
 
 let test_campaign_clean_and_deterministic () =
   let run () =
     let buf = Buffer.create 4096 in
     let fmt = Format.formatter_of_buffer buf in
-    let verdict = GE.campaign fmt ~seed:0x6EA1L ~bench:"is" () in
+    let verdict = GE.campaign fmt { GE.default with seed = 0x6EA1L } in
     Format.pp_print_flush fmt ();
     (verdict, Buffer.contents buf)
   in
   let v1, out1 = run () in
   let v2, out2 = run () in
-  checkb "clean" true (v1 = GE.Clean);
-  checkb "replay clean" true (v2 = GE.Clean);
+  checkb "clean" true (v1 = Campaign.Clean);
+  checkb "replay clean" true (v2 = Campaign.Clean);
   checkb "same seed, byte-identical output" true (out1 = out2);
   checkb "breaker comparison rendered" true
     (let contains s sub =
@@ -304,12 +306,6 @@ let test_campaign_clean_and_deterministic () =
        go 0
      in
      contains out1 "breaker wins")
-
-let test_exit_codes () =
-  checki "clean" 0 (GE.exit_code GE.Clean);
-  checki "violations" 1 (GE.exit_code GE.Violations);
-  checki "unrecovered" 1 (GE.exit_code GE.Unrecovered);
-  checki "unknown" 2 (GE.exit_code GE.Unknown_bench)
 
 let () =
   Alcotest.run "gray"
@@ -347,6 +343,5 @@ let () =
           Alcotest.test_case "unknown bench" `Quick test_campaign_unknown_bench;
           Alcotest.test_case "soak clean + deterministic" `Slow
             test_campaign_clean_and_deterministic;
-          Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
     ]

@@ -207,6 +207,71 @@ let test_snapshot_carries_trace_attribution () =
       | Some rows -> checki "one attribution row" 1 (List.length rows)
       | None -> Alcotest.fail "trace.attribution missing")
 
+(* ---------- Campaign: exit codes and the shared soak loop ---------- *)
+
+module Campaign = H.Campaign
+
+let check_verdict msg expected got =
+  Alcotest.(check string) msg (Campaign.verdict_to_string expected) (Campaign.verdict_to_string got)
+
+let test_campaign_exit_codes () =
+  checki "clean" 0 (Campaign.exit_code Campaign.Clean);
+  checki "violations" 1 (Campaign.exit_code Campaign.Violations);
+  checki "unrecovered" 1 (Campaign.exit_code Campaign.Unrecovered);
+  checki "unknown bench" 2 (Campaign.exit_code Campaign.Unknown_bench)
+
+let test_campaign_worst () =
+  check_verdict "empty" Campaign.Clean (Campaign.worst []);
+  check_verdict "exit-1 tie keeps the first" Campaign.Unrecovered
+    (Campaign.worst [ Campaign.Clean; Campaign.Unrecovered; Campaign.Violations ]);
+  check_verdict "exit 2 dominates" Campaign.Unknown_bench
+    (Campaign.worst [ Campaign.Violations; Campaign.Unknown_bench; Campaign.Unrecovered ])
+
+(* A stub cell: a preset verdict per cell index and a seed-dependent
+   line, so the soak fold, ordering and rendering show directly. *)
+let stub_verdicts = [| Campaign.Clean; Campaign.Violations; Campaign.Unrecovered; Campaign.Clean |]
+
+let render_stub_soak ~domains =
+  let buf = Buffer.create 256 in
+  let fmt = Format.formatter_of_buffer buf in
+  let result =
+    Campaign.soak fmt ~name:"stub" ~seed:100L ~cells:4 ~domains (fun seed cell_fmt ->
+        Format.fprintf cell_fmt "stub ran at seed %Ld@." seed;
+        stub_verdicts.(Int64.to_int seed - 100))
+  in
+  Format.pp_print_flush fmt ();
+  let json = Campaign.soak_json ~name:"stub" ~params:[ ("k", Stramash_obs.Json.Int 1) ] result in
+  (result, Buffer.contents buf, Stramash_obs.Json.to_string json)
+
+let test_campaign_soak () =
+  let (verdict, cells), out1, json1 = render_stub_soak ~domains:1 in
+  let _, out3, json3 = render_stub_soak ~domains:3 in
+  check_verdict "worst verdict, tie resolved by cell order" Campaign.Violations verdict;
+  Alcotest.(check (list (pair int int64)))
+    "cell indices and derived seeds"
+    [ (0, 100L); (1, 101L); (2, 102L); (3, 103L) ]
+    (List.map (fun (i, seed, _) -> (i, seed)) cells);
+  List.iter
+    (fun (i, _, v) -> check_verdict (Printf.sprintf "cell %d verdict" i) stub_verdicts.(i) v)
+    cells;
+  Alcotest.(check string)
+    "rendering"
+    "stub soak: cells=4 base seed=100\n\n--- cell 0 (seed 100) ---\nstub ran at seed 100\n\n\
+     --- cell 1 (seed 101) ---\nstub ran at seed 101\n\n--- cell 2 (seed 102) ---\nstub ran \
+     at seed 102\n\n--- cell 3 (seed 103) ---\nstub ran at seed 103\n\nsoak verdict: \
+     VIOLATIONS (4 cells)\n"
+    out1;
+  Alcotest.(check string)
+    "json"
+    "{\"schema\":\"stramash-stub-soak/1\",\"k\":1,\"cells\":[\
+     {\"cell\":0,\"seed\":100,\"verdict\":\"CLEAN\"},\
+     {\"cell\":1,\"seed\":101,\"verdict\":\"VIOLATIONS\"},\
+     {\"cell\":2,\"seed\":102,\"verdict\":\"UNRECOVERED\"},\
+     {\"cell\":3,\"seed\":103,\"verdict\":\"CLEAN\"}],\"verdict\":\"VIOLATIONS\"}"
+    json1;
+  Alcotest.(check string) "rendering identical for 1 and 3 domains" out1 out3;
+  Alcotest.(check string) "json identical for 1 and 3 domains" json1 json3
+
 let () =
   Alcotest.run "harness"
     [
@@ -230,6 +295,12 @@ let () =
           Alcotest.test_case "moves content" `Quick test_data_packing_moves_content;
           Alcotest.test_case "window full" `Quick test_data_packing_window_full;
           Alcotest.test_case "enforcement" `Quick test_data_packing_enforcement;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "exit codes" `Quick test_campaign_exit_codes;
+          Alcotest.test_case "worst verdict" `Quick test_campaign_worst;
+          Alcotest.test_case "shared soak" `Quick test_campaign_soak;
         ] );
       ( "snapshot",
         [

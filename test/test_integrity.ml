@@ -12,6 +12,7 @@ module Plan = Stramash_fault_inject.Plan
 module Integrity = Stramash_fault_inject.Integrity
 module Checkpoint = Stramash_core.Checkpoint
 module IE = Stramash_harness.Integrity_experiments
+module Campaign = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -84,8 +85,7 @@ let test_validate_accepts_sane () =
     (Plan.validate { Plan.default with scrub_windows = [ sw 100 400; sw 500 100 ] } = Ok ());
   checkb "campaign probe config" true
     (Plan.validate
-       (IE.probe_config ~flips:IE.default_flips ~msg_rate:IE.default_msg_rate
-          ~pte_rate:IE.default_pte_rate)
+       (IE.probe_config IE.default)
     = Ok ());
   checkb "create raises on malformed" true
     (match
@@ -359,27 +359,22 @@ let test_corruption_stream_does_not_perturb_base_sites () =
 
 let test_campaign_unknown_bench () =
   let fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  checkb "unknown bench" true (IE.campaign fmt ~bench:"nope" () = IE.Unknown_bench)
+  checkb "unknown bench" true
+    (IE.campaign fmt { IE.default with bench = "nope" } = Campaign.Unknown_bench)
 
 let test_campaign_clean_and_deterministic () =
   let run () =
     let buf = Buffer.create 4096 in
     let fmt = Format.formatter_of_buffer buf in
-    let verdict = IE.campaign fmt ~bench:"is" ~kills:1 () in
+    let verdict = IE.campaign fmt { IE.default with kills = 1 } in
     Format.pp_print_flush fmt ();
     (verdict, Buffer.contents buf)
   in
   let v1, out1 = run () in
   let v2, out2 = run () in
-  checkb "clean" true (v1 = IE.Clean);
-  checkb "replay clean" true (v2 = IE.Clean);
+  checkb "clean" true (v1 = Campaign.Clean);
+  checkb "replay clean" true (v2 = Campaign.Clean);
   checkb "same seed, byte-identical output" true (out1 = out2)
-
-let test_exit_codes () =
-  checki "clean" 0 (IE.exit_code IE.Clean);
-  checki "violations" 1 (IE.exit_code IE.Violations);
-  checki "unrecovered" 1 (IE.exit_code IE.Unrecovered);
-  checki "unknown" 2 (IE.exit_code IE.Unknown_bench)
 
 let () =
   Alcotest.run "integrity"
@@ -420,6 +415,5 @@ let () =
         [
           Alcotest.test_case "unknown bench" `Quick test_campaign_unknown_bench;
           Alcotest.test_case "clean + deterministic" `Slow test_campaign_clean_and_deterministic;
-          Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
     ]

@@ -31,6 +31,7 @@ module B = Stramash_isa.Builder
 module FE = Stramash_harness.Fault_experiments
 module CE = Stramash_harness.Chaos_experiments
 module PE = Stramash_harness.Placement_experiments
+module Campaign = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -318,14 +319,16 @@ let null_fmt () =
 
 let test_campaign_unknown_bench () =
   checki "unknown bench is the CLI's exit 2" 2
-    (CE.exit_code (PE.campaign (null_fmt ()) ~bench:"nope" ()))
+    (Campaign.exit_code (PE.campaign (null_fmt ()) { PE.default with bench = "nope" }))
 
 let test_campaign_clean () =
-  checkb "adaptive cg campaign is clean" true (PE.campaign (null_fmt ()) () = CE.Clean)
+  checkb "adaptive cg campaign is clean" true
+    (PE.campaign (null_fmt ()) PE.default = Campaign.Clean)
 
 let test_chaos_with_placement_clean () =
   checkb "chaos campaign stays clean under adaptive placement" true
-    (CE.campaign (null_fmt ()) ~kills:2 ~placement:Policy.Adaptive () = CE.Clean)
+    (CE.campaign (null_fmt ()) { CE.default with kills = 2; placement = Some Policy.Adaptive }
+    = Campaign.Clean)
 
 (* ---------- Core: Fused_namespace ---------- *)
 

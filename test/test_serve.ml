@@ -1,7 +1,8 @@
 (* Tests for the open-loop serving subsystem: the Zipfian sampler's
    statistics and golden sequence, SLO evaluation, config validation, and
    same-seed determinism of full runs — alone and composed with a chaos
-   kill/restart schedule. *)
+   kill/restart schedule — and soak cells carrying the whole campaign
+   config. *)
 
 module Rng = Stramash_sim.Rng
 module Zipf = Stramash_sim.Zipf
@@ -14,6 +15,7 @@ module Workload = Stramash_serve.Workload
 module Slo = Stramash_serve.Slo
 module Serve = Stramash_serve.Serve
 module SE = Stramash_harness.Serve_experiments
+module Campaign = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 
@@ -242,6 +244,44 @@ let test_serve_counters_cover_ops () =
   checki "per-op counters sum to requests" 400 total;
   checki "completed" 400 (List.assoc "serve.completed" o.Serve.o_counters)
 
+(* ---------- soak ---------- *)
+
+let render_to f =
+  let buf = Buffer.create 65536 in
+  let fmt = Format.formatter_of_buffer buf in
+  let result = f fmt in
+  Format.pp_print_flush fmt ();
+  (result, Buffer.contents buf)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A soak must run every cell with the whole campaign config: toggles and
+   workload knobs (here theta and the chaos cell) reach each cell, and
+   cell i renders exactly as a single campaign at seed + i. *)
+let test_soak_cells_keep_config () =
+  let config = { SE.default with keys = 16_384; requests = 1_000; theta = 0.5; chaos = false } in
+  let cell seed fmt = SE.campaign fmt { config with seed } in
+  let (verdict, cells), out =
+    render_to (fun fmt ->
+        Campaign.soak fmt ~name:"serve" ~seed:config.seed ~cells:2 ~domains:1 cell)
+  in
+  Alcotest.(check bool) "no chaos cell" false (contains out "stramash+chaos");
+  Alcotest.(check bool) "theta reaches the cells" true (contains out "theta=0.50");
+  let expected =
+    Printf.sprintf "serve soak: cells=2 base seed=%Ld\n" config.seed
+    ^ String.concat ""
+        (List.map
+           (fun (i, seed, _) ->
+             Alcotest.(check int64) "derived seed" (Int64.add config.seed (Int64.of_int i)) seed;
+             Printf.sprintf "\n--- cell %d (seed %Ld) ---\n%s" i seed (snd (render_to (cell seed))))
+           cells)
+    ^ Printf.sprintf "\nsoak verdict: %s (2 cells)\n" (Campaign.verdict_to_string verdict)
+  in
+  Alcotest.(check string) "each cell is the campaign at seed + i" expected out
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_zipf_support_bounds; prop_zipf_rank_frequency_monotone; prop_zipf_seed_deterministic ]
@@ -277,5 +317,6 @@ let () =
           Alcotest.test_case "chaos-composed identical" `Slow test_serve_chaos_composed_identical;
           Alcotest.test_case "popcorn personality" `Quick test_serve_popcorn_runs;
           Alcotest.test_case "op counters" `Quick test_serve_counters_cover_ops;
+          Alcotest.test_case "soak cells keep config" `Slow test_soak_cells_keep_config;
         ] );
     ]
