@@ -23,14 +23,6 @@ type image = { node : Node_id.t; procs : proc_image list; futexes : futex_image 
    crash boundary — it is not work the (already dead) node can be charged
    for, so reads are silent. Restore, by contrast, is real work billed to
    the restarting node. *)
-let silent_io env ~node =
-  {
-    Page_table.phys = env.Env.phys;
-    charge_read = ignore;
-    charge_write = ignore;
-    alloc_table = (fun () -> Kernel.alloc_table_page (Env.kernel env node));
-  }
-
 let capture env ~node ~procs ~futexes =
   let procs =
     List.sort (fun a b -> compare a.Process.pid b.Process.pid) procs
@@ -49,7 +41,7 @@ let capture env ~node ~procs ~futexes =
                      }
                      :: !vmas);
                let ptes = ref [] in
-               Page_table.iter_leaves mm.Process.pgtable (silent_io env ~node)
+               Page_table.iter_leaves mm.Process.pgtable (Env.silent_io env)
                  ~f:(fun ~vaddr ~frame ~flags ->
                    ptes :=
                      {

@@ -3,7 +3,6 @@ module Addr = Stramash_mem.Addr
 module Phys_mem = Stramash_mem.Phys_mem
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Kheap = Stramash_kernel.Kheap
 module Frame_alloc = Stramash_kernel.Frame_alloc
 module Vma = Stramash_kernel.Vma
 module Pte = Stramash_kernel.Pte
@@ -100,22 +99,6 @@ let reset_counters t =
   t.fallback_pages <- 0;
   t.remote_walks <- 0;
   t.shared_mappings <- 0
-
-let ensure_mm t ~proc ~node =
-  match Process.mm proc node with
-  | Some mm -> mm
-  | None ->
-      let kernel = Env.kernel t.env node in
-      let io = Env.pt_io t.env ~actor:node ~owner:node in
-      let mm =
-        {
-          Process.vmas = Vma.create_set ~alloc_struct:(fun () -> Kheap.alloc_line kernel.Kernel.kheap);
-          pgtable = Page_table.create ~isa:node io;
-          ptl_addr = Kheap.alloc_line kernel.Kernel.kheap;
-        }
-      in
-      Process.add_mm proc node mm;
-      mm
 
 let ptl_for t ~proc =
   match Hashtbl.find_opt t.ptls proc.Process.pid with
@@ -398,7 +381,7 @@ let degraded_fault t dt ~proc ~node ~vaddr ~write =
       Error
         (Fault.Segfault { pid = proc.Process.pid; vaddr; node = Node_id.to_string node })
   | Some (_, _, _, writable) -> (
-      let mm = ensure_mm t ~proc ~node in
+      let mm = Env.ensure_mm t.env ~proc ~node in
       let local_io = Env.pt_io t.env ~actor:node ~owner:node in
       match Page_table.walk mm.Process.pgtable local_io ~vaddr with
       | Some (_, flags) ->
@@ -433,7 +416,7 @@ let degraded_fault t dt ~proc ~node ~vaddr ~write =
 
 let handle_fault_fused t ~proc ~node ~vaddr ~write =
   let origin = proc.Process.origin in
-  let mm = ensure_mm t ~proc ~node in
+  let mm = Env.ensure_mm t.env ~proc ~node in
   match vma_for t ~proc ~node ~vaddr with
   | None ->
       Error

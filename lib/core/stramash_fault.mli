@@ -36,9 +36,6 @@ val set_write_hook :
     handler here (returning [true] when it upgraded the leaf). Without a
     hook such faults stay the raced/spurious no-ops they always were. *)
 
-val ensure_mm :
-  t -> proc:Stramash_kernel.Process.t -> node:Stramash_sim.Node_id.t -> Stramash_kernel.Process.mm
-
 val handle_fault :
   t ->
   proc:Stramash_kernel.Process.t ->

@@ -27,7 +27,7 @@ let home_node t ~origin =
    table, faulting the page in if necessary (shared frame — the word is the
    same memory on both kernels). *)
 let word_paddr t ~proc ~node ~uaddr =
-  let mm = Stramash_fault.ensure_mm t.faults ~proc ~node in
+  let mm = Env.ensure_mm t.env ~proc ~node in
   let io = Env.pt_io t.env ~actor:node ~owner:node in
   let frame =
     match Page_table.walk mm.Process.pgtable io ~vaddr:uaddr with

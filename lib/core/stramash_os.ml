@@ -65,7 +65,7 @@ let migrate t ~proc ~thread ~dst ~point =
     else Trace.null
   in
   Msg_layer.rpc t.msg ~src ~label:"migrate" ~req_bytes:256 ~resp_bytes:64 ~handler:(fun () ->
-      ignore (Stramash_fault.ensure_mm t.faults ~proc ~node:dst);
+      ignore (Env.ensure_mm t.env ~proc ~node:dst);
       Meter.add (Env.meter t.env dst) Migrate_state.transform_cost_instructions);
   if sp != Trace.null then Trace.close ~at:(Meter.get src_meter) sp;
   thread.Thread.cpu <-

@@ -21,16 +21,6 @@ let pp fmt r =
   Format.fprintf fmt "audit: %d checks, %d violations@." r.checks (List.length r.violations);
   List.iter (fun v -> Format.fprintf fmt "  [%s] %s@." v.check v.detail) r.violations
 
-(* Auditing must observe, not perturb: walks are free of cache charges and
-   must never fault in a directory page. *)
-let silent_io env =
-  {
-    Page_table.phys = env.Env.phys;
-    charge_read = ignore;
-    charge_write = ignore;
-    alloc_table = (fun () -> invalid_arg "Audit: walk must not allocate");
-  }
-
 let frame_owner env paddr =
   List.find_opt
     (fun node -> Frame_alloc.owns_address (Env.kernel env node).Kernel.frames paddr)
@@ -46,7 +36,9 @@ let origin_ranges proc =
   List.rev !ranges
 
 let iter_leaves env ~proc ~f =
-  let io = silent_io env in
+  (* Auditing must observe, not perturb: walks are free of cache charges
+     and must never fault in a directory page. *)
+  let io = Env.silent_io env in
   let ranges = origin_ranges proc in
   List.iter
     (fun (node, mm) ->

@@ -40,3 +40,30 @@ let pt_io t ~actor ~owner =
     charge_write = (fun paddr -> charge_store t actor ~paddr);
     alloc_table = (fun () -> Kernel.alloc_table_page (kernel t owner));
   }
+
+let silent_io ?owner t =
+  {
+    Page_table.phys = t.phys;
+    charge_read = ignore;
+    charge_write = ignore;
+    alloc_table =
+      (match owner with
+      | Some node -> fun () -> Kernel.alloc_table_page (kernel t node)
+      | None -> fun () -> invalid_arg "Env.silent_io: walk must not allocate");
+  }
+
+let ensure_mm t ~proc ~node =
+  match Process.mm proc node with
+  | Some mm -> mm
+  | None ->
+      let kernel = kernel t node in
+      let io = pt_io t ~actor:node ~owner:node in
+      let mm =
+        {
+          Process.vmas = Vma.create_set ~alloc_struct:(fun () -> Kheap.alloc_line kernel.Kernel.kheap);
+          pgtable = Page_table.create ~isa:node io;
+          ptl_addr = Kheap.alloc_line kernel.Kernel.kheap;
+        }
+      in
+      Process.add_mm proc node mm;
+      mm

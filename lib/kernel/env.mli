@@ -36,3 +36,17 @@ val pt_io : t -> actor:Stramash_sim.Node_id.t -> owner:Stramash_sim.Node_id.t ->
 (** Page-table access descriptor: table pages are allocated from the
     [owner] kernel; entry reads/writes are performed (and billed) by
     [actor] — for a remote software walk the two differ. *)
+
+val silent_io : ?owner:Stramash_sim.Node_id.t -> t -> Page_table.io
+(** Zero-charge page-table access descriptor, for work the simulated
+    clock must not see (load-time mapping, audits, checkpoint capture).
+    With [owner], table pages come from that kernel; without it the
+    descriptor is walk-only and a table allocation raises
+    [Invalid_argument], so an observer can never perturb the tables. *)
+
+val ensure_mm :
+  t -> proc:Process.t -> node:Stramash_sim.Node_id.t -> Process.mm
+(** [proc]'s memory descriptor on [node], created on first use (load at
+    the origin, migration or a thread spawned elsewhere): an empty VMA set
+    and page table, with the VMA structs and the page-table lock word in
+    [node]'s kernel heap. *)

@@ -209,25 +209,6 @@ let attach_placement t engine =
 
 let reset_meters t = Array.iter Meter.reset t.env.Env.meters
 
-(* Load-time page installation: no simulated cost (the paper measures
-   post-boot, post-exec behaviour). *)
-let silent_io t ~node =
-  {
-    Page_table.phys = t.env.Env.phys;
-    charge_read = ignore;
-    charge_write = ignore;
-    alloc_table = (fun () -> Kernel.alloc_table_page (Env.kernel t.env node));
-  }
-
-let eager_map t ~proc ~node ~(mm : Process.mm) ~vaddr =
-  let kernel = Env.kernel t.env node in
-  let frame = Kernel.alloc_frame_exn kernel in
-  Phys_mem.zero_page t.env.Env.phys frame;
-  Page_table.map mm.Process.pgtable (silent_io t ~node) ~vaddr:(Addr.page_base vaddr)
-    ~frame:(frame lsr Addr.page_shift) Pte.default_flags;
-  Os.seed_resident_page t.os ~proc ~vaddr:(Addr.page_base vaddr) ~frame;
-  frame
-
 let write_init t ~frame_of ~base (init : Spec.init) ~len =
   let phys = t.env.Env.phys in
   let paddr_of vaddr = frame_of vaddr + Addr.page_offset vaddr in
@@ -263,7 +244,18 @@ let load t (spec : Spec.t) =
     List.map (fun isa -> (isa, Codegen.lower ~isa spec.Spec.mir)) Node_id.all
   in
   let proc = Process.create ~pid ~origin ~mir:spec.Spec.mir ~images in
-  let mm = Os.ensure_mm t.os ~env:t.env ~proc ~node:origin in
+  let mm = Env.ensure_mm t.env ~proc ~node:origin in
+  (* Load-time page installation: no simulated cost (the paper measures
+     post-boot, post-exec behaviour). *)
+  let io = Env.silent_io ~owner:origin t.env in
+  let eager_map vaddr =
+    let frame = Kernel.alloc_frame_exn (Env.kernel t.env origin) in
+    Phys_mem.zero_page t.env.Env.phys frame;
+    Page_table.map mm.Process.pgtable io ~vaddr:(Addr.page_base vaddr)
+      ~frame:(frame lsr Addr.page_shift) Pte.default_flags;
+    Os.seed_resident_page t.os ~proc ~vaddr:(Addr.page_base vaddr) ~frame;
+    frame
+  in
   (* Text segment: sized by the larger of the two encodings. *)
   let code_bytes =
     List.fold_left (fun acc (_, img) -> max acc img.Machine_code.code_bytes) Addr.page_size images
@@ -272,7 +264,7 @@ let load t (spec : Spec.t) =
   ignore (Vma.add mm.Process.vmas ~start:Codegen.code_base ~end_:code_end Vma.Code ~writable:false);
   let vaddr = ref Codegen.code_base in
   while !vaddr < code_end do
-    ignore (eager_map t ~proc ~node:origin ~mm ~vaddr:!vaddr);
+    ignore (eager_map !vaddr);
     vaddr := !vaddr + Addr.page_size
   done;
   (* Stack. *)
@@ -291,7 +283,7 @@ let load t (spec : Spec.t) =
         let frames = Hashtbl.create 64 in
         let vaddr = ref seg.Spec.base in
         while !vaddr < seg_end do
-          Hashtbl.add frames (Addr.page_of !vaddr) (eager_map t ~proc ~node:origin ~mm ~vaddr:!vaddr);
+          Hashtbl.add frames (Addr.page_of !vaddr) (eager_map !vaddr);
           vaddr := !vaddr + Addr.page_size
         done;
         let frame_of vaddr = Hashtbl.find frames (Addr.page_of vaddr) in
@@ -317,15 +309,7 @@ let read_user t ~proc ~node ~vaddr ~width =
   match Process.mm proc node with
   | None -> None
   | Some mm -> (
-      let io =
-        {
-          Page_table.phys = t.env.Env.phys;
-          charge_read = ignore;
-          charge_write = ignore;
-          alloc_table = (fun () -> invalid_arg "Machine.read_user: walk must not allocate");
-        }
-      in
-      match Page_table.walk mm.Process.pgtable io ~vaddr with
+      match Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr with
       | None -> None
       | Some (frame, _) ->
           let paddr = (frame lsl Addr.page_shift) + Addr.page_offset vaddr in
@@ -335,7 +319,7 @@ let read_user_f64 t ~proc ~node ~vaddr =
   Option.map Int64.float_of_bits (read_user t ~proc ~node ~vaddr ~width:8)
 
 let spawn_thread t proc ~at_point ~node =
-  ignore (Os.ensure_mm t.os ~env:t.env ~proc ~node);
+  ignore (Env.ensure_mm t.env ~proc ~node);
   let image = Process.image proc node in
   let cpu = Interp.create ?tc:t.tc image in
   ignore (Process.fresh_tid proc);

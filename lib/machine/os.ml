@@ -3,7 +3,6 @@ module Addr = Stramash_mem.Addr
 module Phys_mem = Stramash_mem.Phys_mem
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Kheap = Stramash_kernel.Kheap
 module Vma = Stramash_kernel.Vma
 module Pte = Stramash_kernel.Pte
 module Page_table = Stramash_kernel.Page_table
@@ -27,27 +26,6 @@ let name = function
   | Stramash _ -> "stramash"
 
 let supports_migration = function Vanilla -> false | Popcorn _ | Stramash _ -> true
-
-let make_mm ~env ~node =
-  let kernel = Env.kernel env node in
-  let io = Env.pt_io env ~actor:node ~owner:node in
-  {
-    Process.vmas = Vma.create_set ~alloc_struct:(fun () -> Kheap.alloc_line kernel.Kernel.kheap);
-    pgtable = Page_table.create ~isa:node io;
-    ptl_addr = Kheap.alloc_line kernel.Kernel.kheap;
-  }
-
-let ensure_mm t ~env ~proc ~node =
-  match t with
-  | Vanilla -> (
-      match Process.mm proc node with
-      | Some mm -> mm
-      | None ->
-          let mm = make_mm ~env ~node in
-          Process.add_mm proc node mm;
-          mm)
-  | Popcorn p -> Dsm.ensure_mm (Popcorn_os.dsm p) ~proc ~node
-  | Stramash s -> Stramash_fault.ensure_mm (Stramash_os.faults s) ~proc ~node
 
 (* Vanilla: a classic local fault — find the VMA, allocate a frame from the
    local kernel, map it. *)

@@ -12,13 +12,6 @@ type t =
 val name : t -> string
 val supports_migration : t -> bool
 
-val ensure_mm :
-  t ->
-  env:Stramash_kernel.Env.t ->
-  proc:Stramash_kernel.Process.t ->
-  node:Stramash_sim.Node_id.t ->
-  Stramash_kernel.Process.mm
-
 val handle_fault :
   t ->
   env:Stramash_kernel.Env.t ->

@@ -2,14 +2,10 @@ module Node_id = Stramash_sim.Node_id
 module Meter = Stramash_sim.Meter
 module Metrics = Stramash_sim.Metrics
 module Cycles = Stramash_sim.Cycles
-module Addr = Stramash_mem.Addr
 module Layout = Stramash_mem.Layout
 module Phys_mem = Stramash_mem.Phys_mem
 module Cache_sim = Stramash_cache.Cache_sim
-module Cache_config = Stramash_cache.Config
-module Level = Stramash_cache.Level
 module Env = Stramash_kernel.Env
-module Page_table = Stramash_kernel.Page_table
 module Process = Stramash_kernel.Process
 module Thread = Stramash_kernel.Thread
 module Tlb = Stramash_kernel.Tlb
@@ -72,262 +68,32 @@ let phase_span r ~start ~stop =
 
 exception Deadlock of string
 
-(* Retry bound for fault-then-walk loops: a single fault must make the
-   page accessible, so more than a few retries indicates a protocol bug. *)
-let max_fault_retries = 4
+(* Paranoid mode: beyond the per-access cross-check inside Cache_sim,
+   audit the structural invariants (cache inclusion/directory agreement,
+   phys page-pointer cache). The audit walks every tracked line, so the
+   scheduler runs it on a deterministic stride rather than every quantum,
+   and once more when the run ends. *)
+let paranoid_audit env ~what =
+  (match Cache_sim.check_consistency env.Env.cache with
+  | Ok () -> ()
+  | Error msg -> raise (Cache_sim.Divergence (what ^ ": " ^ msg)));
+  match Phys_mem.self_check env.Env.phys with
+  | Ok () -> ()
+  | Error msg -> raise (Cache_sim.Divergence (what ^ ": " ^ msg))
 
-(* One scheduling-quantum boundary for a driver that is not [run]'s
-   scheduler loop (the open-loop serving subsystem admits and completes
-   requests against quantum boundaries it paces itself). Mirrors the
-   scheduler's boundary exactly: the Paranoid structural audit on the
-   same 1-in-64 stride, then the machine's quantum hooks (placement
-   epoch tick, integrity scrubber) in registration order. [count] is the
-   caller's quantum counter, carried across calls so the audit stride
-   matches a single continuous run. *)
+(* One scheduling-quantum boundary: the Paranoid structural audit on a
+   1-in-64 stride, then the machine's quantum hooks (placement epoch
+   tick, integrity scrubber) in registration order. [run]'s scheduler
+   calls it after every quantum; the open-loop serving subsystem calls it
+   at the boundaries it paces itself. [count] is the caller's quantum
+   counter, carried across calls so the audit stride matches a single
+   continuous run. *)
 let quantum_boundary machine ~count ~now =
   let env = Machine.env machine in
   incr count;
-  if Cache_sim.mode env.Env.cache = Cache_sim.Paranoid && !count land 63 = 0 then begin
-    (match Cache_sim.check_consistency env.Env.cache with
-    | Ok () -> ()
-    | Error msg -> raise (Cache_sim.Divergence ("paranoid audit: " ^ msg)));
-    match Phys_mem.self_check env.Env.phys with
-    | Ok () -> ()
-    | Error msg -> raise (Cache_sim.Divergence ("paranoid audit: " ^ msg))
-  end;
+  if Cache_sim.mode env.Env.cache = Cache_sim.Paranoid && !count land 63 = 0 then
+    paranoid_audit env ~what:"paranoid audit";
   Quantum.fire (Machine.quantum machine) ~now
-
-let make_memio machine proc thread ~user_stalls =
-  let env = Machine.env machine in
-  let node = thread.Thread.node in
-  let node_index = Node_id.index node in
-  let cache = env.Env.cache in
-  let phys = env.Env.phys in
-  let meter = Env.meter env node in
-  let tlb = Env.tlb env node in
-  let mm = Process.mm_exn proc node in
-  let io = Env.pt_io env ~actor:node ~owner:node in
-  let l1_lat = (Cache_config.latencies (Cache_sim.config cache) node).Stramash_mem.Latency.l1 in
-  let stall lat =
-    if lat > l1_lat then begin
-      user_stalls.(node_index) <- user_stalls.(node_index) + lat;
-      lat
-    end
-    else 0
-  in
-  let asid = proc.Process.pid in
-  (* Placement telemetry: one counter bump per user access, reusing the
-     latency the access already paid for its hit-depth class. [None]
-     (the common case) keeps the fast path free of the sampling call. *)
-  let sample =
-    match Machine.placement machine with
-    | None -> None
-    | Some engine ->
-        Some
-          (fun ~vaddr ~write lat ->
-            Placement.sample engine ~pid:asid ~node ~vaddr ~write ~latency:lat)
-  in
-  (* Bound once so the per-access address math below compiles to shifts and
-     masks with no cross-module calls. *)
-  let page_shift = Addr.page_shift in
-  let page_mask = Addr.page_size - 1 in
-  (* Slow translation path: charged page-table walk, then the OS fault
-     handler, then retry. Each retry re-enters [Tlb.translate] so the TLB
-     hit/miss accounting is identical to the pre-fast-path runner (which
-     re-probed via [Tlb.lookup] on every pass of its recursion). *)
-  let rec translate_slow vaddr ~write ~retries =
-    match Page_table.walk mm.Process.pgtable io ~vaddr with
-    | Some (frame, flags) when (not write) || flags.Stramash_kernel.Pte.writable ->
-        Tlb.insert tlb ~asid ~vpage:(Addr.page_of vaddr)
-          { Tlb.frame; writable = flags.Stramash_kernel.Pte.writable };
-        frame
-    | _ ->
-        if retries >= max_fault_retries then
-          failwith
-            (Printf.sprintf "fault loop at 0x%x (%s, write=%b)" vaddr
-               (Node_id.to_string node) write);
-        (* The CLI edge of the typed-error API: an unrecoverable fault
-           (segfault, OOM beyond hotplug) terminates the run as an
-           exception with the error's rendering. *)
-        (match Os.handle_fault (Machine.os machine) ~env ~proc ~node ~vaddr ~write with
-        | Ok () -> ()
-        | Error e -> raise (Stramash_fault_inject.Fault.Error e));
-        let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
-        if frame >= 0 then frame else translate_slow vaddr ~write ~retries:(retries + 1)
-  in
-  (* Fused TLB probe + permission check + paddr assembly, allocation-free
-     on a hit. [Tlb.translate] returns the frame, or [miss]/[not_writable];
-     both negatives fall to the charged walk (a write hit on a read-only
-     entry was a counted TLB hit in the reference model too — the walk is
-     how the reference discovered the permission fault). *)
-  let data_paddr vaddr ~write =
-    let frame = Tlb.translate tlb ~asid ~vpage:(vaddr lsr page_shift) ~write in
-    let frame = if frame >= 0 then frame else translate_slow vaddr ~write ~retries:0 in
-    (frame lsl page_shift) + (vaddr land page_mask)
-  in
-  let load_slow width vaddr =
-    let paddr = data_paddr vaddr ~write:false in
-    let lat = Cache_sim.access cache ~node Cache_sim.Load ~paddr in
-    (match sample with None -> () | Some f -> f ~vaddr ~write:false lat);
-    Meter.add meter (stall lat);
-    if width = 8 then Phys_mem.read_u64 phys paddr else Phys_mem.read phys paddr ~width
-  in
-  let store_slow width vaddr value =
-    let paddr = data_paddr vaddr ~write:true in
-    let lat = Cache_sim.access cache ~node Cache_sim.Store ~paddr in
-    (match sample with None -> () | Some f -> f ~vaddr ~write:true lat);
-    Meter.add meter (stall lat);
-    if width = 8 then Phys_mem.write_u64 phys paddr value
-    else Phys_mem.write phys paddr ~width value
-  in
-  let fetch_slow vaddr =
-    let paddr = data_paddr vaddr ~write:false in
-    let lat = Cache_sim.access cache ~node Cache_sim.Ifetch ~paddr in
-    (match sample with None -> () | Some f -> f ~vaddr ~write:false lat);
-    (* one base cycle per instruction + any fetch stall *)
-    Meter.add meter (1 + stall lat)
-  in
-  (* Fused fast path: when the Fast cache engine is authoritative for
-     every access (no probes) and no placement sampler is attached, the
-     all-hit per-instruction chain — TLB probe, L0/L1 replay, meter
-     charge, physical access — runs inside one closure with no
-     cross-module calls. The closures re-prove {e every} hit condition
-     against the live arrays and commit no counter, LRU or meter mutation
-     until all of them pass; any condition failing falls back to the
-     reference closure above, which recounts the access from scratch
-     (both the TLB probe and the L0 probe are pure until their commit, so
-     the fallback observes exactly the reference state). On the committed
-     path the effects are, in reference order: the TLB hit count, the
-     Cache_sim L0-hit counter set, the L1 LRU touch (same way, same tick
-     advance), the meter charge (1 + 0 stall for a fetch, 0 for data at
-     L1 latency — [lat_l1 > l1_lat] is never true), and the [Phys_mem]
-     byte access via the page-pointer cache. [make_memio] runs at every
-     scheduling quantum, so a mid-run mode flip, probe registration or
-     sampler attach revives the reference closures at the next quantum
-     boundary — within a quantum nothing can register one. *)
-  match (Cache_sim.fast_path cache ~node, sample) with
-  | Some fp, None ->
-      let tv = Tlb.view tlb in
-      let pv = Phys_mem.view phys in
-      let s = fp.Cache_sim.fp_stats in
-      let line_shift = Addr.line_shift in
-      let phys_page frame =
-        let ps = frame land pv.Phys_mem.pv_mask in
-        if Array.unsafe_get pv.Phys_mem.pv_frames ps = frame then
-          Array.unsafe_get pv.Phys_mem.pv_pages ps
-        else Phys_mem.page_for phys frame
-      in
-      {
-        Interp.load =
-          (fun width vaddr ->
-            let vpage = vaddr lsr page_shift in
-            let ts = vpage land tv.Tlb.tv_mask in
-            if
-              Array.unsafe_get tv.Tlb.tv_vpages ts = vpage
-              && Array.unsafe_get tv.Tlb.tv_asids ts = asid
-            then begin
-              let frame = (Array.unsafe_get tv.Tlb.tv_entries ts).Tlb.frame in
-              let off = vaddr land page_mask in
-              let line = ((frame lsl page_shift) + off) lsr line_shift in
-              let slot = line land fp.Cache_sim.fp_slot_mask in
-              let way = Array.unsafe_get fp.Cache_sim.fp_d_ways slot in
-              let v = fp.Cache_sim.fp_d_v in
-              if
-                Array.unsafe_get fp.Cache_sim.fp_d_lines slot = line
-                && Array.unsafe_get v.Level.v_tags way = line
-              then begin
-                incr tv.Tlb.tv_hits;
-                s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
-                s.Cache_sim.l1d_accesses <- s.Cache_sim.l1d_accesses + 1;
-                s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
-                s.Cache_sim.l1d_hits <- s.Cache_sim.l1d_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
-                (* data stall at L1 latency is 0 cycles: no meter charge *)
-                let page = phys_page frame in
-                match width with
-                | 8 -> Bytes.get_int64_le page off
-                | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le page off)) 0xFFFFFFFFL
-                | 2 -> Int64.of_int (Bytes.get_uint16_le page off)
-                | 1 -> Int64.of_int (Char.code (Bytes.get page off))
-                | _ -> Phys_mem.read phys ((frame lsl page_shift) + off) ~width
-              end
-              else load_slow width vaddr
-            end
-            else load_slow width vaddr);
-        store =
-          (fun width vaddr value ->
-            let vpage = vaddr lsr page_shift in
-            let ts = vpage land tv.Tlb.tv_mask in
-            if
-              Array.unsafe_get tv.Tlb.tv_vpages ts = vpage
-              && Array.unsafe_get tv.Tlb.tv_asids ts = asid
-            then begin
-              let e = Array.unsafe_get tv.Tlb.tv_entries ts in
-              let off = vaddr land page_mask in
-              let line = ((e.Tlb.frame lsl page_shift) + off) lsr line_shift in
-              let slot = line land fp.Cache_sim.fp_slot_mask in
-              let way = Array.unsafe_get fp.Cache_sim.fp_d_ways slot in
-              let v = fp.Cache_sim.fp_d_v in
-              if
-                e.Tlb.writable
-                && Array.unsafe_get fp.Cache_sim.fp_d_lines slot = line
-                && Array.unsafe_get fp.Cache_sim.fp_d_store_m slot
-                && Array.unsafe_get v.Level.v_tags way = line
-              then begin
-                incr tv.Tlb.tv_hits;
-                s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
-                s.Cache_sim.l1d_accesses <- s.Cache_sim.l1d_accesses + 1;
-                s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
-                s.Cache_sim.l1d_hits <- s.Cache_sim.l1d_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
-                let page = phys_page e.Tlb.frame in
-                match width with
-                | 8 -> Bytes.set_int64_le page off value
-                | 4 -> Bytes.set_int32_le page off (Int64.to_int32 value)
-                | 2 -> Bytes.set_uint16_le page off (Int64.to_int (Int64.logand value 0xFFFFL))
-                | 1 -> Bytes.set page off (Char.chr (Int64.to_int (Int64.logand value 0xFFL)))
-                | _ -> Phys_mem.write phys ((e.Tlb.frame lsl page_shift) + off) ~width value
-              end
-              else store_slow width vaddr value
-            end
-            else store_slow width vaddr value);
-        fetch =
-          (fun vaddr ->
-            let vpage = vaddr lsr page_shift in
-            let ts = vpage land tv.Tlb.tv_mask in
-            if
-              Array.unsafe_get tv.Tlb.tv_vpages ts = vpage
-              && Array.unsafe_get tv.Tlb.tv_asids ts = asid
-            then begin
-              let frame = (Array.unsafe_get tv.Tlb.tv_entries ts).Tlb.frame in
-              let line = ((frame lsl page_shift) + (vaddr land page_mask)) lsr line_shift in
-              let slot = line land fp.Cache_sim.fp_slot_mask in
-              let way = Array.unsafe_get fp.Cache_sim.fp_i_ways slot in
-              let v = fp.Cache_sim.fp_i_v in
-              if
-                Array.unsafe_get fp.Cache_sim.fp_i_lines slot = line
-                && Array.unsafe_get v.Level.v_tags way = line
-              then begin
-                incr tv.Tlb.tv_hits;
-                s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
-                s.Cache_sim.l1i_accesses <- s.Cache_sim.l1i_accesses + 1;
-                s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
-                s.Cache_sim.l1i_hits <- s.Cache_sim.l1i_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
-                (* one base cycle per instruction; fetch stall at L1 is 0 *)
-                meter.Meter.cycles <- meter.Meter.cycles + 1
-              end
-              else fetch_slow vaddr
-            end
-            else fetch_slow vaddr);
-      }
-  | _ -> { Interp.load = load_slow; store = store_slow; fetch = fetch_slow }
 
 let resolve_futex_args thread (syscall : Mir.syscall) =
   let regs = Interp.regs thread.Thread.cpu in
@@ -474,34 +240,16 @@ let run_scheduler ?on_recovery machine items ~fuel =
     node_icounts.(idx) <- node_icounts.(idx) + (count - prev);
     Hashtbl.replace seg_start th.Thread.tid count
   in
-  let sync_clock ~from_node ~to_node =
-    let src = Env.meter env from_node in
-    let dst = Env.meter env to_node in
-    if Meter.get dst < Meter.get src then begin
-      idle.(Node_id.index to_node) <- idle.(Node_id.index to_node) + (Meter.get src - Meter.get dst);
-      Meter.set dst (Meter.get src)
+  (* Jump a node's clock to [at] (a migration arrival, a futex wake, a
+     restart), accounting the gap as idle time. *)
+  let advance_to node at =
+    let m = Env.meter env node in
+    if Meter.get m < at then begin
+      idle.(Node_id.index node) <- idle.(Node_id.index node) + (at - Meter.get m);
+      Meter.set m at
     end
   in
-  (* Paranoid mode: beyond the per-access cross-check inside Cache_sim,
-     audit the structural invariants (cache inclusion/directory agreement,
-     phys page-pointer cache) at scheduling-quantum boundaries. The audit
-     walks every tracked line, so it runs on a deterministic stride rather
-     than every quantum. *)
-  let paranoid = Cache_sim.mode env.Env.cache = Cache_sim.Paranoid in
   let quanta = ref 0 in
-  let audit () =
-    if paranoid then begin
-      incr quanta;
-      if !quanta land 63 = 0 then begin
-        (match Cache_sim.check_consistency env.Env.cache with
-        | Ok () -> ()
-        | Error msg -> raise (Cache_sim.Divergence ("paranoid audit: " ^ msg)));
-        match Phys_mem.self_check env.Env.phys with
-        | Ok () -> ()
-        | Error msg -> raise (Cache_sim.Divergence ("paranoid audit: " ^ msg))
-      end
-    end
-  in
   let finished th = th.Thread.state = Thread.Finished in
   (* --- crash-stop chaos schedule (quantum-boundary processing) ---------- *)
   let chaos_events =
@@ -518,14 +266,6 @@ let run_scheduler ?on_recovery machine items ~fuel =
     |> List.rev
   in
   let wall () = Array.fold_left (fun a m -> max a (Meter.get m)) 0 env.Env.meters in
-  (* Jump a node's clock to [at], accounting the gap as idle time. *)
-  let advance_to node at =
-    let m = Env.meter env node in
-    if Meter.get m < at then begin
-      idle.(Node_id.index node) <- idle.(Node_id.index node) + (at - Meter.get m);
-      Meter.set m at
-    end
-  in
   (* Crash-stop injection and checkpoint restore can change control flow
      and memory mappings out from under a thread (restored register
      state, re-seeded pages), so any superblock trace built for a CPU on
@@ -655,10 +395,9 @@ let run_scheduler ?on_recovery machine items ~fuel =
                 if mc < mb then cand else best)
               (List.hd runnable) (List.tl runnable)
           in
-          let memio = make_memio machine (proc_of th) th ~user_stalls in
-          let outcome = Interp.run th.Thread.cpu memio ~fuel in
-          audit ();
-          Quantum.fire (Machine.quantum machine) ~now:(wall ());
+          let mmu = Mmu.create machine (proc_of th) ~node:th.Thread.node in
+          let outcome = Interp.run th.Thread.cpu (Mmu.memio mmu ~user_stalls) ~fuel in
+          quantum_boundary machine ~count:quanta ~now:(wall ());
           (match outcome with
           | Interp.Out_of_fuel -> account th
           | Interp.Halted ->
@@ -702,7 +441,7 @@ let run_scheduler ?on_recovery machine items ~fuel =
                   in
                   Os.migrate os ~proc:(proc_of th) ~thread:th ~dst ~point;
                   incr migrations;
-                  sync_clock ~from_node:src_node ~to_node:dst;
+                  advance_to dst (Meter.get (Env.meter env src_node));
                   if sp != Trace.null then
                     Trace.close ~at:(Meter.get (Env.meter env src_node)) sp;
                   Hashtbl.replace seg_start th.Thread.tid (Interp.icount th.Thread.cpu)
@@ -736,12 +475,7 @@ let run_scheduler ?on_recovery machine items ~fuel =
                                 Cycles.of_ns 300.0
                               else Ipi.cross_isa_ipi_cycles
                             in
-                            let wm = Env.meter env waiter.Thread.node in
-                            if Meter.get wm < wake_time + delivery then begin
-                              let wi = Node_id.index waiter.Thread.node in
-                              idle.(wi) <- idle.(wi) + (wake_time + delivery - Meter.get wm);
-                              Meter.set wm (wake_time + delivery)
-                            end
+                            advance_to waiter.Thread.node (wake_time + delivery)
                           end
                       | None -> ())
                     woken));
@@ -758,14 +492,8 @@ let run_scheduler ?on_recovery machine items ~fuel =
     (fun node sp -> Trace.close ~at:(Meter.get (Env.meter env node)) sp)
     (if run_spans = [] then [] else Node_id.all)
     run_spans;
-  if paranoid then begin
-    (match Cache_sim.check_consistency env.Env.cache with
-    | Ok () -> ()
-    | Error msg -> raise (Cache_sim.Divergence ("paranoid final audit: " ^ msg)));
-    match Phys_mem.self_check env.Env.phys with
-    | Ok () -> ()
-    | Error msg -> raise (Cache_sim.Divergence ("paranoid final audit: " ^ msg))
-  end;
+  if Cache_sim.mode env.Env.cache = Cache_sim.Paranoid then
+    paranoid_audit env ~what:"paranoid final audit";
   collect machine ~node_icounts ~migrations:!migrations ~user_stalls ~idle
     ~marks:(List.rev !marks)
 

@@ -1,7 +1,7 @@
-(** Execution engine: drives threads through the interpreter, translating
-    every access (TLB → charged page-table walk → OS fault handler) and
-    feeding every memory reference through the cache simulator — the
-    complete Stramash-QEMU execution model.
+(** Execution engine: drives threads through the interpreter, sending
+    every access down the {!Mmu} user-access path (TLB → charged
+    page-table walk → OS fault handler → cache simulator) — the complete
+    Stramash-QEMU execution model.
 
     Timing: one base cycle per instruction; stalls are charged for any
     access that misses the L1 (the fixed-non-memory-IPC model of §7.3).
@@ -107,9 +107,9 @@ val pp_result : Format.formatter -> result -> unit
     runtime) as in the paper's appendix A.5 example output. *)
 
 val quantum_boundary : Machine.t -> count:int ref -> now:int -> unit
-(** One scheduling-quantum boundary outside [run]'s scheduler loop: in
-    Paranoid mode, run the structural invariant audit on the same stride
-    the scheduler uses, then fire the machine's quantum hooks (placement
+(** One scheduling-quantum boundary, the one [run]'s scheduler takes after
+    every quantum: in Paranoid mode, run the structural invariant audit
+    on a 1-in-64 stride, then fire the machine's quantum hooks (placement
     epoch tick, integrity scrubber) at [now]. The open-loop serving
     subsystem calls this between request admissions so quantum-driven
     machinery runs under request load exactly as it does under [run];

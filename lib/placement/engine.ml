@@ -155,14 +155,6 @@ let sample t ~pid ~node ~vaddr ~write ~latency =
 
 (* ---------- helpers ---------- *)
 
-let silent_io t node =
-  {
-    Page_table.phys = t.env.Env.phys;
-    charge_read = ignore;
-    charge_write = ignore;
-    alloc_table = (fun () -> Kernel.alloc_table_page (Env.kernel t.env node));
-  }
-
 let frame_owner t paddr =
   List.find_opt
     (fun n -> Frame_alloc.owns_address (Env.kernel t.env n).Kernel.frames paddr)
@@ -176,7 +168,7 @@ let remote_owned_for t ~node ~frame_paddr =
 let leaf_of t ~(proc : Process.t) ~node ~vaddr =
   match Process.mm proc node with
   | None -> None
-  | Some mm -> Page_table.walk mm.Process.pgtable (silent_io t node) ~vaddr
+  | Some mm -> Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr
 
 (* Invalidate both kernels' cached translations for the page. The actor's
    own flush is local; the peer's is a cross-ISA shootdown — one IPI

@@ -3,7 +3,6 @@ module Addr = Stramash_mem.Addr
 module Phys_mem = Stramash_mem.Phys_mem
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Kheap = Stramash_kernel.Kheap
 module Vma = Stramash_kernel.Vma
 module Pte = Stramash_kernel.Pte
 module Page_table = Stramash_kernel.Page_table
@@ -75,27 +74,11 @@ let page t ~pid ~vpage =
 let state p node = p.st.(Node_id.index node)
 let set_state p node s = p.st.(Node_id.index node) <- s
 
-let ensure_mm t ~proc ~node =
-  match Process.mm proc node with
-  | Some mm -> mm
-  | None ->
-      let kernel = Env.kernel t.env node in
-      let io = Env.pt_io t.env ~actor:node ~owner:node in
-      let mm =
-        {
-          Process.vmas = Vma.create_set ~alloc_struct:(fun () -> Kheap.alloc_line kernel.Kernel.kheap);
-          pgtable = Page_table.create ~isa:node io;
-          ptl_addr = Kheap.alloc_line kernel.Kernel.kheap;
-        }
-      in
-      Process.add_mm proc node mm;
-      mm
-
 (* Find the VMA covering [vaddr] in [node]'s descriptor, fetching a replica
    from the origin over the messaging layer if needed (Popcorn's remote VMA
    fault, §6.4). *)
 let vma_for t ~proc ~node ~vaddr =
-  let mm = ensure_mm t ~proc ~node in
+  let mm = Env.ensure_mm t.env ~proc ~node in
   let charge v = Env.charge_load t.env node ~paddr:v.Vma.struct_addr in
   match Vma.find ~visit:charge mm.Process.vmas ~vaddr with
   | Some vma -> Some vma
@@ -319,14 +302,7 @@ let frame_for_read t ~proc ~node ~vaddr =
 
 let check_invariants t ~proc =
   let pid = proc.Process.pid in
-  let silent_io =
-    {
-      Page_table.phys = t.env.Env.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> assert false);
-    }
-  in
+  let silent_io = Env.silent_io t.env in
   let exception Bad of string in
   let fail fmt_str = Printf.ksprintf (fun s -> raise (Bad s)) fmt_str in
   try

@@ -23,9 +23,6 @@ val handle_fault :
 (** Resolve a user page fault at [node]. Charges all protocol costs.
     [Error (Segfault _)] on a genuine segfault (no VMA). *)
 
-val ensure_mm : t -> proc:Stramash_kernel.Process.t -> node:Stramash_sim.Node_id.t -> Stramash_kernel.Process.mm
-(** Create the per-node memory descriptor on first use (migration). *)
-
 val replicated_pages : t -> int
 
 val wb_updates : t -> int

@@ -39,7 +39,7 @@ let migrate t ~proc ~thread ~dst ~point =
   in
   Msg_layer.rpc (msg t) ~src ~label:"migrate" ~req_bytes:2048 ~resp_bytes:128
     ~handler:(fun () ->
-      ignore (Dsm.ensure_mm t.dsm ~proc ~node:dst);
+      ignore (Env.ensure_mm t.env ~proc ~node:dst);
       Meter.add (Env.meter t.env dst) Migrate_state.transform_cost_instructions);
   if sp != Trace.null then Trace.close ~at:(Meter.get src_meter) sp;
   thread.Thread.cpu <-

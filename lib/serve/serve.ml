@@ -1,4 +1,3 @@
-module Node_id = Stramash_sim.Node_id
 module Meter = Stramash_sim.Meter
 module Metrics = Stramash_sim.Metrics
 module Histogram = Stramash_sim.Metrics.Histogram
@@ -7,17 +6,12 @@ module Rng = Stramash_sim.Rng
 module Zipf = Stramash_sim.Zipf
 module Addr = Stramash_mem.Addr
 module Cache_sim = Stramash_cache.Cache_sim
-module Cache_config = Stramash_cache.Config
 module Env = Stramash_kernel.Env
-module Page_table = Stramash_kernel.Page_table
-module Process = Stramash_kernel.Process
-module Tlb = Stramash_kernel.Tlb
-module Pte = Stramash_kernel.Pte
 module Machine = Stramash_machine.Machine
 module Os = Stramash_machine.Os
 module Runner = Stramash_machine.Runner
+module Mmu = Stramash_machine.Mmu
 module Plan = Stramash_fault_inject.Plan
-module Fault = Stramash_fault_inject.Fault
 module Redis = Stramash_workloads.Redis
 module Engine = Stramash_placement.Engine
 module Policy = Stramash_placement.Policy
@@ -127,50 +121,16 @@ let run cfg =
   let node = Redis.node_of server in
   let meter = Env.meter env node in
   Trace.set_clock (fun n -> Meter.get (Env.meter env n));
-  (* -- the runner's user-access recipe, on the serving node ------------- *)
-  let cache = env.Env.cache in
-  let tlb = Env.tlb env node in
-  let asid = proc.Process.pid in
-  let mm = Os.ensure_mm (Machine.os machine) ~env ~proc ~node in
-  let io = Env.pt_io env ~actor:node ~owner:node in
-  let sample =
-    match Machine.placement machine with
-    | None -> fun ~vaddr:_ ~write:_ _ -> ()
-    | Some engine ->
-        fun ~vaddr ~write lat -> Engine.sample engine ~pid:asid ~node ~vaddr ~write ~latency:lat
-  in
-  let rec translate_slow vaddr ~write ~retries =
-    match Page_table.walk mm.Process.pgtable io ~vaddr with
-    | Some (frame, flags) when (not write) || flags.Pte.writable ->
-        Tlb.insert tlb ~asid ~vpage:(Addr.page_of vaddr) { Tlb.frame; writable = flags.Pte.writable };
-        frame
-    | _ ->
-        if retries >= 4 then
-          failwith
-            (Printf.sprintf "serve: fault loop at 0x%x (%s, write=%b)" vaddr
-               (Node_id.to_string node) write);
-        (match Os.handle_fault (Machine.os machine) ~env ~proc ~node ~vaddr ~write with
-        | Ok () -> ()
-        | Error e -> raise (Fault.Error e));
-        let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
-        if frame >= 0 then frame else translate_slow vaddr ~write ~retries:(retries + 1)
-  in
-  let data_paddr vaddr ~write =
-    let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
-    let frame = if frame >= 0 then frame else translate_slow vaddr ~write ~retries:0 in
-    (frame lsl Addr.page_shift) + (vaddr land (Addr.page_size - 1))
-  in
   (* Charged like [Env.charge_bytes_*]: full access latency per line, so
      the keyspace phase prices like the Redis model's private dataset —
-     except the line may fault, replicate, or be sampled by placement. *)
+     except each line takes the runner's user-access path, so it may
+     fault, replicate, or be sampled by placement. *)
+  let mmu = Mmu.create machine proc ~node in
   let access_span ~vaddr ~write ~len =
     let kind = if write then Cache_sim.Store else Cache_sim.Load in
     let v = ref vaddr in
     for _ = 1 to Addr.lines_spanned vaddr ~len do
-      let paddr = data_paddr !v ~write in
-      let lat = Cache_sim.access cache ~node kind ~paddr in
-      Meter.add meter lat;
-      sample ~vaddr:!v ~write lat;
+      Meter.add meter (Mmu.access mmu kind ~vaddr:!v);
       v := Addr.line_base !v + Addr.line_size
     done
   in

@@ -71,7 +71,7 @@ let make_setup ?inject () =
   let mir = trivial_mir () in
   let images = List.map (fun isa -> (isa, Codegen.lower ~isa mir)) Node_id.all in
   let proc = Process.create ~pid:1 ~origin:x86 ~mir ~images in
-  let mm = Stramash_fault.ensure_mm faults ~proc ~node:x86 in
+  let mm = Env.ensure_mm env ~proc ~node:x86 in
   ignore (Vma.add mm.Process.vmas ~start:vaddr0 ~end_:(vaddr0 + 0x100000) Vma.Anon ~writable:true);
   (env, msg, faults, proc)
 
@@ -84,15 +84,7 @@ let make_thread ~tid ~node =
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  let io =
-    {
-      Page_table.phys = env.Env.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> assert false);
-    }
-  in
-  Page_table.walk mm.Process.pgtable io ~vaddr
+  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
 
 (* ---------- liveness fencing epochs ---------- *)
 

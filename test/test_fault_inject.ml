@@ -60,21 +60,13 @@ let make_setup ?inject ?global_alloc () =
   let mir = trivial_mir () in
   let images = List.map (fun isa -> (isa, Codegen.lower ~isa mir)) Node_id.all in
   let proc = Process.create ~pid:1 ~origin:x86 ~mir ~images in
-  let mm = Stramash_fault.ensure_mm faults ~proc ~node:x86 in
+  let mm = Env.ensure_mm env ~proc ~node:x86 in
   ignore (Vma.add mm.Process.vmas ~start:0x10000000 ~end_:0x10100000 Vma.Anon ~writable:true);
   (env, msg, faults, proc)
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  let io =
-    {
-      Page_table.phys = env.Env.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> assert false);
-    }
-  in
-  Page_table.walk mm.Process.pgtable io ~vaddr
+  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
 
 (* ---------- Plan ---------- *)
 
@@ -168,7 +160,7 @@ let test_injected_faults_are_absorbed () =
   in
   let env, _msg, faults, proc = make_setup ~inject:plan () in
   Stramash_fault.handle_fault_exn faults ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   for page = 0 to 19 do
     match
       Stramash_fault.handle_fault faults ~proc ~node:arm
@@ -194,7 +186,7 @@ let test_alloc_denial_recovers_via_hotplug () =
   let mir = trivial_mir () in
   let images = List.map (fun isa -> (isa, Codegen.lower ~isa mir)) Node_id.all in
   let proc = Process.create ~pid:1 ~origin:x86 ~mir ~images in
-  let mm = Stramash_fault.ensure_mm faults ~proc ~node:x86 in
+  let mm = Env.ensure_mm env ~proc ~node:x86 in
   ignore (Vma.add mm.Process.vmas ~start:vaddr0 ~end_:(vaddr0 + 0x100000) Vma.Anon ~writable:true);
   (match Stramash_fault.handle_fault faults ~proc ~node:x86 ~vaddr:vaddr0 ~write:true with
   | Ok () -> ()
@@ -219,7 +211,7 @@ let test_alloc_denial_without_global_alloc_is_oom () =
 let test_audit_clean_after_faults () =
   let env, _msg, faults, proc = make_setup () in
   Stramash_fault.handle_fault_exn faults ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   Stramash_fault.handle_fault_exn faults ~proc ~node:arm ~vaddr:vaddr0 ~write:false;
   Stramash_fault.handle_fault_exn faults ~proc ~node:arm ~vaddr:(vaddr0 + 4096) ~write:true;
   let report =

@@ -9,6 +9,14 @@ module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module Spec = Stramash_machine.Spec
 module Thread = Stramash_kernel.Thread
+module Env = Stramash_kernel.Env
+module Tlb = Stramash_kernel.Tlb
+module Cache_sim = Stramash_cache.Cache_sim
+module Mmu = Stramash_machine.Mmu
+module Os = Stramash_machine.Os
+module Stramash_os = Stramash_core.Stramash_os
+module Stramash_fault = Stramash_core.Stramash_fault
+module Fault = Stramash_fault_inject.Fault
 
 let checki = Alcotest.(check int)
 let check64 = Alcotest.(check int64)
@@ -101,21 +109,23 @@ let test_ordering_of_oses () =
   Alcotest.(check bool) "stramash beats popcorn-shm" true (stramash < shm);
   Alcotest.(check bool) "shm beats tcp" true (shm < tcp)
 
-let test_lazy_segments_fault_in () =
-  (* a lazy segment is unmapped until written *)
+(* a store of 123 into a lazily mapped data page *)
+let lazy_spec () =
   let b = B.create () in
   let base = B.immi b data_base in
   let v = B.immi b 123 in
   B.store b Mir.W64 v (Mir.based base);
-  let spec =
-    {
-      Spec.name = "lazy";
-      description = "";
-      mir = B.finish b;
-      segments = [ Spec.segment ~base:data_base ~len:4096 ~eager:false () ];
-      migration_targets = [];
-    }
-  in
+  {
+    Spec.name = "lazy";
+    description = "";
+    mir = B.finish b;
+    segments = [ Spec.segment ~base:data_base ~len:4096 ~eager:false () ];
+    migration_targets = [];
+  }
+
+let test_lazy_segments_fault_in () =
+  (* a lazy segment is unmapped until written *)
+  let spec = lazy_spec () in
   let machine = Machine.create { Machine.default_config with os = Machine.Vanilla } in
   let proc, thread = Machine.load machine spec in
   Alcotest.(check (option int64)) "unmapped before run" None
@@ -124,26 +134,57 @@ let test_lazy_segments_fault_in () =
   Alcotest.(check (option int64)) "mapped and written after" (Some 123L)
     (Machine.read_user machine ~proc ~node:Node_id.X86 ~vaddr:data_base ~width:8)
 
-let test_segfault_detected () =
+let segv_vaddr = 0xDEAD000
+
+let segv_spec () =
   let b = B.create () in
-  let bad = B.immi b 0xDEAD000 in
+  let bad = B.immi b segv_vaddr in
   ignore (B.load b Mir.W64 (Mir.based bad));
-  let spec =
-    {
-      Spec.name = "segv";
-      description = "";
-      mir = B.finish b;
-      segments = [];
-      migration_targets = [];
-    }
+  { Spec.name = "segv"; description = ""; mir = B.finish b; segments = []; migration_targets = [] }
+
+(* The run surfaces the typed error, and it is exactly the error the
+   user-access path raises for the same address. *)
+let test_segfault_detected () =
+  let fault_of f = match f () with exception Fault.Error e -> Some e | _ -> None in
+  List.iter
+    (fun os ->
+      let load () =
+        let machine = Machine.create { Machine.default_config with os } in
+        let proc, thread = Machine.load machine (segv_spec ()) in
+        (machine, proc, thread)
+      in
+      let machine, proc, thread = load () in
+      let via_runner = fault_of (fun () -> Runner.run machine proc thread (segv_spec ())) in
+      let machine, proc, _ = load () in
+      let mmu = Mmu.create machine proc ~node:Node_id.X86 in
+      let via_mmu = fault_of (fun () -> Mmu.access mmu Cache_sim.Load ~vaddr:segv_vaddr) in
+      (match via_runner with
+      | Some (Fault.Segfault _) -> ()
+      | _ -> Alcotest.fail "segfault not raised as the typed error");
+      Alcotest.(check bool) (Machine.os_choice_name os ^ ": Mmu.access raises it too") true
+        (via_runner = via_mmu))
+    [ Machine.Vanilla; Machine.Stramash_kernel_os ]
+
+(* Under Stramash the first touch from the non-origin node takes one
+   fused remote fault; the retry installs the translation, so the next
+   access to the page is a plain TLB hit. *)
+let test_mmu_remote_fault_then_tlb_hit () =
+  let machine = Machine.create { Machine.default_config with os = Machine.Stramash_kernel_os } in
+  let proc, _ = Machine.load machine (lazy_spec ()) in
+  let faults =
+    match Machine.os machine with
+    | Os.Stramash s -> Stramash_os.faults s
+    | Os.Vanilla | Os.Popcorn _ -> Alcotest.fail "not the Stramash personality"
   in
-  let machine = Machine.create { Machine.default_config with os = Machine.Vanilla } in
-  let proc, thread = Machine.load machine spec in
-  Alcotest.(check bool) "segfault raises the typed error" true
-    (try
-       ignore (Runner.run machine proc thread spec);
-       false
-     with Stramash_fault_inject.Fault.Error (Stramash_fault_inject.Fault.Segfault _) -> true)
+  let tlb = Env.tlb (Machine.env machine) Node_id.Arm in
+  let mmu = Mmu.create machine proc ~node:Node_id.Arm in
+  ignore (Mmu.access mmu Cache_sim.Load ~vaddr:data_base);
+  checki "first access faults once" 1 (Stramash_fault.remote_walks faults);
+  let hits = Tlb.hits tlb and misses = Tlb.misses tlb in
+  ignore (Mmu.access mmu Cache_sim.Store ~vaddr:(data_base + 64));
+  checki "no second fault" 1 (Stramash_fault.remote_walks faults);
+  checki "second access hits the TLB" (hits + 1) (Tlb.hits tlb);
+  checki "and does not miss" misses (Tlb.misses tlb)
 
 let test_spawn_thread_entry () =
   let b = B.create () in
@@ -276,6 +317,9 @@ let () =
           Alcotest.test_case "lazy segments" `Quick test_lazy_segments_fault_in;
           Alcotest.test_case "segfault" `Quick test_segfault_detected;
         ] );
+      ( "mmu",
+        [ Alcotest.test_case "remote fault then TLB hit" `Quick test_mmu_remote_fault_then_tlb_hit ]
+      );
       ( "threads",
         [ Alcotest.test_case "spawn entry" `Quick test_spawn_thread_entry ] );
       ( "multiprocess",

@@ -42,13 +42,12 @@ let trivial_mir () =
   ignore (B.immi b 0);
   B.finish b
 
-let make_proc env dsm =
+let make_proc env =
   let mir = trivial_mir () in
   let images = List.map (fun isa -> (isa, Codegen.lower ~isa mir)) Node_id.all in
   let proc = Process.create ~pid:1 ~origin:x86 ~mir ~images in
-  let mm = Dsm.ensure_mm dsm ~proc ~node:x86 in
+  let mm = Env.ensure_mm env ~proc ~node:x86 in
   ignore (Vma.add mm.Process.vmas ~start:0x10000000 ~end_:0x10100000 Vma.Anon ~writable:true);
-  ignore env;
   proc
 
 (* ---------- Msg_layer ---------- *)
@@ -100,26 +99,17 @@ let fault dsm ~proc ~node ~vaddr ~write =
   | Ok () -> ()
   | Error e -> Alcotest.failf "unexpected fault error: %s" (Fault.to_string e)
 
-let walk_frame env dsm proc node vaddr =
-  ignore dsm;
+let walk_frame env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  let io =
-    {
-      Page_table.phys = env.Env.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> assert false);
-    }
-  in
-  Page_table.walk mm.Process.pgtable io ~vaddr
+  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
 
 let test_origin_fault_allocates_locally () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
+  let proc = make_proc env in
   fault dsm ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  (match walk_frame env dsm proc x86 vaddr0 with
+  (match walk_frame env proc x86 vaddr0 with
   | Some (frame, flags) ->
       Alcotest.(check bool) "frame in x86 memory" true
         (Layout.region_contains Layout.x86_private (frame lsl Addr.page_shift));
@@ -132,16 +122,16 @@ let test_remote_read_replicates () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
+  let proc = make_proc env in
   (* origin writes first -> owner at origin with content *)
   fault dsm ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  (match walk_frame env dsm proc x86 vaddr0 with
+  (match walk_frame env proc x86 vaddr0 with
   | Some (frame, _) -> Phys_mem.write_u64 env.Env.phys ((frame lsl Addr.page_shift) + 16) 0xABCL
   | None -> assert false);
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   fault dsm ~proc ~node:arm ~vaddr:(vaddr0 + 16) ~write:false;
   checki "one page replicated" 1 (Dsm.replicated_pages dsm);
-  (match walk_frame env dsm proc arm vaddr0 with
+  (match walk_frame env proc arm vaddr0 with
   | Some (frame, flags) ->
       Alcotest.(check bool) "replica is arm-local" true
         (Layout.region_contains Layout.arm_private (frame lsl Addr.page_shift));
@@ -155,13 +145,13 @@ let test_remote_write_takes_ownership () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
+  let proc = make_proc env in
   fault dsm ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   fault dsm ~proc ~node:arm ~vaddr:vaddr0 ~write:true;
   (* the origin's PTE must now be gone (single-writer protocol) *)
-  Alcotest.(check bool) "origin invalidated" true (walk_frame env dsm proc x86 vaddr0 = None);
-  (match walk_frame env dsm proc arm vaddr0 with
+  Alcotest.(check bool) "origin invalidated" true (walk_frame env proc x86 vaddr0 = None);
+  (match walk_frame env proc arm vaddr0 with
   | Some (_, flags) -> Alcotest.(check bool) "arm owner writable" true flags.Stramash_kernel.Pte.writable
   | None -> Alcotest.fail "arm not mapped")
 
@@ -169,21 +159,21 @@ let test_upgrade_from_read_copy () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
+  let proc = make_proc env in
   fault dsm ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   fault dsm ~proc ~node:arm ~vaddr:vaddr0 ~write:false;
   let replicated_before = Dsm.replicated_pages dsm in
   fault dsm ~proc ~node:arm ~vaddr:vaddr0 ~write:true;
   checki "upgrade copies nothing" replicated_before (Dsm.replicated_pages dsm);
-  Alcotest.(check bool) "other side invalidated" true (walk_frame env dsm proc x86 vaddr0 = None)
+  Alcotest.(check bool) "other side invalidated" true (walk_frame env proc x86 vaddr0 = None)
 
 let test_remote_anon_alloc_two_rounds () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  let proc = make_proc env in
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   (* fresh page faulted first on the remote: allocation at origin, then
      replication — at least two request/response rounds (4 messages) *)
   fault dsm ~proc ~node:arm ~vaddr:vaddr0 ~write:false;
@@ -194,7 +184,7 @@ let test_segfault_raises () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
+  let proc = make_proc env in
   (match Dsm.handle_fault dsm ~proc ~node:x86 ~vaddr:0x666 ~write:false with
   | Error (Fault.Segfault { vaddr; _ }) -> checki "faulting address reported" 0x666 vaddr
   | Ok () -> Alcotest.fail "expected a segfault"
@@ -204,8 +194,8 @@ let test_vma_fetched_remotely () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  let proc = make_proc env in
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   fault dsm ~proc ~node:arm ~vaddr:vaddr0 ~write:false;
   checki "vma_req issued once" 1 (Msg_layer.count_for msg "vma_req");
   (* second fault in the same VMA does not refetch it *)
@@ -220,8 +210,8 @@ let prop_dsm_invariants =
       let env = make_env () in
       let msg = Msg_layer.create Msg_layer.Shm env () in
       let dsm = Dsm.create env msg in
-      let proc = make_proc env dsm in
-      ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+      let proc = make_proc env in
+      ignore (Env.ensure_mm env ~proc ~node:arm);
       List.for_all
         (fun (at_arm, page, write) ->
           let node = if at_arm then arm else x86 in
@@ -236,8 +226,8 @@ let test_exit_releases_everything () =
   let env = make_env () in
   let msg = Msg_layer.create Msg_layer.Shm env () in
   let dsm = Dsm.create env msg in
-  let proc = make_proc env dsm in
-  ignore (Dsm.ensure_mm dsm ~proc ~node:arm);
+  let proc = make_proc env in
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   let kernel n = Env.kernel env n in
   let used n = Stramash_kernel.Frame_alloc.used_frames (kernel n).Stramash_kernel.Kernel.frames in
   let base = (used x86, used arm) in

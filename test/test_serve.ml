@@ -244,6 +244,50 @@ let test_serve_counters_cover_ops () =
   checki "per-op counters sum to requests" 400 total;
   checki "completed" 400 (List.assoc "serve.completed" o.Serve.o_counters)
 
+(* Absolute values on a small config, not one run against another: a
+   change to the serving path's TLB, fault, placement or cache behaviour
+   moves these even when it keeps runs deterministic. *)
+let bucket_digest h =
+  Histogram.bucket_counts h |> Array.to_list
+  |> List.map (fun (_, c) -> string_of_int c)
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+
+let test_serve_golden () =
+  let pin label cfg ~wall ~idle ~quanta ~wait ~placement ~buckets =
+    let o = Serve.run { cfg with Serve.keys = 16_384; requests = 2_000 } in
+    let counters =
+      [
+        ("serve.completed", 2000);
+        ("serve.idle_cycles", idle);
+        ("serve.op.get", 1376);
+        ("serve.op.mset", 114);
+        ("serve.op.scan", 123);
+        ("serve.op.set", 387);
+        ("serve.quanta", quanta);
+        ("serve.queue_wait_cycles", wait);
+        ("serve.requests", 2000);
+        ("serve.wall_cycles", wall);
+      ]
+    in
+    checki (label ^ " wall") wall o.Serve.o_wall;
+    Alcotest.(check (list (pair string int))) (label ^ " counters") counters o.Serve.o_counters;
+    Alcotest.(check (list (pair string int)))
+      (label ^ " nonzero placement counters")
+      placement
+      (List.filter (fun (_, v) -> v <> 0) o.Serve.o_placement);
+    Alcotest.(check string) (label ^ " latency buckets") buckets (bucket_digest o.Serve.o_all)
+  in
+  pin "stramash+placement"
+    { Serve.default with Serve.placement = true }
+    ~wall:205_720_016 ~idle:148_840_803 ~quanta:4898 ~wait:22_411_084
+    ~placement:
+      [ ("placement.samples", 4871); ("placement.pages_tracked", 4); ("placement.epochs", 1224) ]
+    ~buckets:"fa05fb39cbc3c734048b31e91fe3f55f";
+  pin "popcorn-shm"
+    { Serve.default with Serve.os = Machine.Popcorn_shm }
+    ~wall:205_816_480 ~idle:78_698_945 ~quanta:4900 ~wait:672_013_174
+    ~placement:[] ~buckets:"ea89ed6617c015c60925c4f69fbf5fac"
+
 (* ---------- soak ---------- *)
 
 let render_to f =
@@ -317,6 +361,7 @@ let () =
           Alcotest.test_case "chaos-composed identical" `Slow test_serve_chaos_composed_identical;
           Alcotest.test_case "popcorn personality" `Quick test_serve_popcorn_runs;
           Alcotest.test_case "op counters" `Quick test_serve_counters_cover_ops;
+          Alcotest.test_case "golden pin" `Quick test_serve_golden;
           Alcotest.test_case "soak cells keep config" `Slow test_soak_cells_keep_config;
         ] );
     ]

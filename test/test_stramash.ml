@@ -56,7 +56,7 @@ let make_setup () =
   let mir = trivial_mir () in
   let images = List.map (fun isa -> (isa, Codegen.lower ~isa mir)) Node_id.all in
   let proc = Process.create ~pid:1 ~origin:x86 ~mir ~images in
-  let mm = Stramash_fault.ensure_mm faults ~proc ~node:x86 in
+  let mm = Env.ensure_mm env ~proc ~node:x86 in
   ignore (Vma.add mm.Process.vmas ~start:0x10000000 ~end_:0x10100000 Vma.Anon ~writable:true);
   (env, msg, faults, proc)
 
@@ -64,15 +64,7 @@ let vaddr0 = 0x10000000
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  let io =
-    {
-      Page_table.phys = env.Env.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> assert false);
-    }
-  in
-  Page_table.walk mm.Process.pgtable io ~vaddr
+  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
 
 (* ---------- Fused VAS ---------- *)
 
@@ -146,7 +138,7 @@ let test_shared_frame_no_replication () =
   let env, msg, faults, proc = make_setup () in
   Stramash_fault.handle_fault_exn faults ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
   let x86_frame = match silent_walk env proc x86 vaddr0 with Some (f, _) -> f | None -> -1 in
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   Stramash_fault.handle_fault_exn faults ~proc ~node:arm ~vaddr:vaddr0 ~write:false;
   let arm_frame = match silent_walk env proc arm vaddr0 with Some (f, _) -> f | None -> -2 in
   checki "both kernels map the same frame" x86_frame arm_frame;
@@ -158,7 +150,7 @@ let test_remote_anon_alloc_is_local_and_installed_in_origin () =
   let env, msg, faults, proc = make_setup () in
   (* Fault a neighbouring page at the origin first so the leaf table exists. *)
   Stramash_fault.handle_fault_exn faults ~proc ~node:x86 ~vaddr:(vaddr0 + 4096) ~write:true;
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   Stramash_fault.handle_fault_exn faults ~proc ~node:arm ~vaddr:vaddr0 ~write:true;
   (match silent_walk env proc arm vaddr0 with
   | Some (frame, _) ->
@@ -172,7 +164,7 @@ let test_remote_anon_alloc_is_local_and_installed_in_origin () =
 
 let test_fallback_when_uppers_missing () =
   let env, msg, faults, proc = make_setup () in
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   (* First remote touch of a fresh region: the origin's table lacks the
      directories, so the origin kernel handles the fault (one message
      round) and the page lands in origin memory. *)
@@ -190,7 +182,7 @@ let test_fallback_when_uppers_missing () =
 
 let test_remote_vma_walk_no_replica () =
   let env, _msg, faults, proc = make_setup () in
-  ignore (Stramash_fault.ensure_mm faults ~proc ~node:arm);
+  ignore (Env.ensure_mm env ~proc ~node:arm);
   Stramash_fault.handle_fault_exn faults ~proc ~node:arm ~vaddr:vaddr0 ~write:true;
   let arm_mm = Process.mm_exn proc arm in
   ignore env;
