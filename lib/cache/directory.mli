@@ -12,7 +12,5 @@ val set : t -> Stramash_sim.Node_id.t -> line:int -> Mesi.state -> unit
 val holds : t -> Stramash_sim.Node_id.t -> line:int -> bool
 (** State is not [I]. *)
 
-val tracked_lines : t -> int
-
 val iter_lines : t -> f:(int -> unit) -> unit
 (** Visit every line with a non-[I] state on some node. *)

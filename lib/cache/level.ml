@@ -4,7 +4,6 @@ type t = {
   tags : int array; (* -1 = invalid; indexed set*ways + way *)
   stamp : int array; (* LRU timestamps *)
   tick : int ref;
-  mutable occupied : int;
 }
 
 (* A raw window onto the tag/LRU state, so the Fast engine can replicate a
@@ -21,25 +20,24 @@ let create (g : Config.geometry) =
     tags = Array.make (sets * g.ways) (-1);
     stamp = Array.make (sets * g.ways) 0;
     tick = ref 0;
-    occupied = 0;
   }
 
 let view t = { v_tags = t.tags; v_stamp = t.stamp; v_tick = t.tick }
 
 let set_of t line = line land (t.sets - 1)
 
-(* [base + w < sets * ways] for every scanned way, so the unsafe reads are
-   in bounds by construction. *)
+(* The way scan of one set, indices [i, stop). Top-level with every value
+   it reads passed in: a local [let rec] capturing them would be a heap
+   closure per call (no flambda to lift it). [stop = base + ways <= sets *
+   ways], so the unsafe reads are in bounds by construction. *)
+let rec scan (tags : int array) (line : int) i (stop : int) =
+  if i >= stop then -1
+  else if Array.unsafe_get tags i = line then i
+  else scan tags line (i + 1) stop
+
 let find t line =
   let base = set_of t line * t.ways in
-  let tags = t.tags in
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then -1
-    else if Array.unsafe_get tags (base + w) = line then base + w
-    else scan (w + 1)
-  in
-  scan 0
+  scan t.tags line base (base + t.ways)
 
 (* [idx] always comes from [find]/[insert], which stay within
    [sets * ways], so the unsafe write is in bounds by construction. *)
@@ -57,8 +55,8 @@ let probe t ~line =
   else false
 
 (* Fast-path support: [probe_way] is [probe] that also reports where the
-   line sits, so the L0 filter can re-touch the same way later without a
-   scan. Tags are unique within a set (insert asserts absence), so the
+   line sits, so the L0 filter can revalidate the same way later without
+   a scan. Tags are unique within a set (insert asserts absence), so the
    reported index is the one [find] would return. *)
 let probe_way t ~line =
   let idx = find t line in
@@ -66,8 +64,6 @@ let probe_way t ~line =
   idx
 
 let tag_at t idx = t.tags.(idx)
-
-let touch_way t idx = touch t idx
 
 let contains t ~line = find t line >= 0
 
@@ -95,7 +91,6 @@ let insert_evict t ~line =
     incr w
   done;
   let evicted = if !found_invalid then -1 else Array.unsafe_get tags !victim in
-  if !found_invalid then t.occupied <- t.occupied + 1;
   Array.unsafe_set tags !victim line;
   touch t !victim;
   evicted
@@ -109,10 +104,8 @@ let invalidate t ~line =
   if idx >= 0 then begin
     t.tags.(idx) <- -1;
     t.stamp.(idx) <- 0;
-    t.occupied <- t.occupied - 1;
     true
   end
   else false
 
 let capacity_lines t = t.sets * t.ways
-let occupied t = t.occupied

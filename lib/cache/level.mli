@@ -23,18 +23,13 @@ val probe : t -> line:int -> bool
 
 val probe_way : t -> line:int -> int
 (** [probe] that returns the hit's index into the tag store (for later
-    {!touch_way} / {!tag_at} revalidation by the L0 line filter), or -1 on
-    a miss. Touches LRU exactly as {!probe} does on a hit. *)
+    {!tag_at} revalidation by the L0 line filter), or -1 on a miss.
+    Touches LRU exactly as {!probe} does on a hit. *)
 
 val tag_at : t -> int -> int
 (** Tag currently stored at an index returned by {!probe_way}; -1 when
     the way is invalid. The L0 filter compares this against its cached
     line to detect eviction/invalidation without any hook traffic. *)
-
-val touch_way : t -> int -> unit
-(** Refresh LRU at a known index — must only be used when [tag_at] equals
-    the line being accessed, in which case it is exactly the touch that
-    {!probe} would have performed. *)
 
 val contains : t -> line:int -> bool
 (** Lookup without touching replacement state. *)
@@ -53,4 +48,3 @@ val invalidate : t -> line:int -> bool
 (** Drop a line; returns whether it was present. *)
 
 val capacity_lines : t -> int
-val occupied : t -> int

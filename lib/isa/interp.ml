@@ -99,9 +99,13 @@ type trace = {
   t_loopback : bool; (* terminal slot jumps back to t_leader *)
 }
 
+(* The register file is a [Bytes.t] of 8 bytes per register, read and
+   written through the unboxed 64-bit primitives: an [int64 array] stores
+   boxed values, so every register write would allocate. *)
 type t = {
   prog : Machine.program;
-  register_file : int64 array;
+  nregs : int;
+  register_file : Bytes.t;
   mutable pc : int;
   mutable icount : int;
   mutable halted : bool;
@@ -151,7 +155,8 @@ let create ?tc prog =
   let nops = Array.length prog.Machine.ops in
   {
     prog;
-    register_file = Array.make prog.Machine.nregs 0L;
+    nregs = prog.Machine.nregs;
+    register_file = Bytes.make (8 * prog.Machine.nregs) '\000';
     pc = 0;
     icount = 0;
     halted = false;
@@ -164,9 +169,35 @@ let program t = t.prog
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
 let icount t = t.icount
-let reg t r = t.register_file.(r)
-let set_reg t r v = t.register_file.(r) <- v
-let regs t = t.register_file
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Unchecked register access for the dispatch loop, whose register
+   indices were all validated at [create]; every other caller goes
+   through the checked [reg]/[set_reg]. *)
+let[@inline always] get regs r = get64u regs (8 * r)
+let[@inline always] set regs r v = set64u regs (8 * r) v
+
+let check_reg t r fn =
+  if r < 0 || r >= t.nregs then
+    invalid_arg (Printf.sprintf "Interp.%s: register %d outside nregs=%d" fn r t.nregs)
+
+let reg t r =
+  check_reg t r "reg";
+  get t.register_file r
+
+let set_reg t r v =
+  check_reg t r "set_reg";
+  set t.register_file r v
+
+let regs t = Array.init t.nregs (fun r -> get t.register_file r)
+
+let copy_regs ~src ~dst =
+  let n = min src.nregs dst.nregs in
+  Bytes.blit src.register_file 0 dst.register_file 0 (8 * n);
+  n
+
 let halted t = t.halted
 let tc t = t.tc
 
@@ -189,43 +220,44 @@ let invalidate_traces t =
       Array.fill t.leader_counts 0 (Array.length t.leader_counts) 0;
       tc.stats.tc_flushes <- tc.stats.tc_flushes + !dropped
 
-let eval_binop op a b =
+(* [regs.(d) <- a op b]. Inlined at every use, and each arm stores its
+   own result, so the operands and the result stay unboxed: an [int64]
+   returned from a call, or joined from match arms, would be boxed. *)
+let[@inline always] binop_into regs d op a b =
   match op with
-  | Mir.Add -> Int64.add a b
-  | Mir.Sub -> Int64.sub a b
-  | Mir.Mul -> Int64.mul a b
-  | Mir.Div -> if b = 0L then raise (Trap "division by zero") else Int64.div a b
-  | Mir.Rem -> if b = 0L then raise (Trap "remainder by zero") else Int64.rem a b
-  | Mir.And -> Int64.logand a b
-  | Mir.Or -> Int64.logor a b
-  | Mir.Xor -> Int64.logxor a b
-  | Mir.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Mir.Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
+  | Mir.Add -> set regs d (Int64.add a b)
+  | Mir.Sub -> set regs d (Int64.sub a b)
+  | Mir.Mul -> set regs d (Int64.mul a b)
+  | Mir.Div -> if b = 0L then raise (Trap "division by zero") else set regs d (Int64.div a b)
+  | Mir.Rem -> if b = 0L then raise (Trap "remainder by zero") else set regs d (Int64.rem a b)
+  | Mir.And -> set regs d (Int64.logand a b)
+  | Mir.Or -> set regs d (Int64.logor a b)
+  | Mir.Xor -> set regs d (Int64.logxor a b)
+  | Mir.Shl -> set regs d (Int64.shift_left a (Int64.to_int b land 63))
+  | Mir.Shr -> set regs d (Int64.shift_right_logical a (Int64.to_int b land 63))
 
-let eval_fbinop op a b =
+(* [regs.(d) <- a op b] on the IEEE doubles whose bits [a] and [b] hold;
+   unboxed as [binop_into]. *)
+let[@inline always] fbinop_into regs d op a b =
   let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let r =
-    match op with
-    | Mir.Fadd -> x +. y
-    | Mir.Fsub -> x -. y
-    | Mir.Fmul -> x *. y
-    | Mir.Fdiv -> x /. y
-  in
-  Int64.bits_of_float r
+  match op with
+  | Mir.Fadd -> set regs d (Int64.bits_of_float (x +. y))
+  | Mir.Fsub -> set regs d (Int64.bits_of_float (x -. y))
+  | Mir.Fmul -> set regs d (Int64.bits_of_float (x *. y))
+  | Mir.Fdiv -> set regs d (Int64.bits_of_float (x /. y))
 
 (* Local mirror of [Mir.eval_cond] (identical semantics): the dispatch
    loop and the trace replayer take a branch per loop iteration, so the
    comparison must not be a cross-module call (no flambda, so those never
-   inline). *)
-let eval_cond cond a b =
-  let c = Int64.compare a b in
+   inline), and it is inlined so its operands are never boxed. *)
+let[@inline always] eval_cond cond (a : int64) (b : int64) =
   match cond with
-  | Mir.Eq -> c = 0
-  | Mir.Ne -> c <> 0
-  | Mir.Lt -> c < 0
-  | Mir.Le -> c <= 0
-  | Mir.Gt -> c > 0
-  | Mir.Ge -> c >= 0
+  | Mir.Eq -> a = b
+  | Mir.Ne -> a <> b
+  | Mir.Lt -> a < b
+  | Mir.Le -> a <= b
+  | Mir.Gt -> a > b
+  | Mir.Ge -> a >= b
 
 (* Local mirror of [Mir.bytes_of_width], for the same reason. *)
 let bytes_of_width = function Mir.W8 -> 1 | Mir.W16 -> 2 | Mir.W32 -> 4 | Mir.W64 -> 8
@@ -233,11 +265,11 @@ let bytes_of_width = function Mir.W8 -> 1 | Mir.W16 -> 2 | Mir.W32 -> 4 | Mir.W6
 (* Register indices were validated at [create]; unsafe accesses here are in
    bounds by construction. *)
 let effective_address regs (m : Machine.mem) =
-  let base = Int64.to_int (Array.unsafe_get regs m.Machine.mbase) in
+  let base = Int64.to_int (get regs m.Machine.mbase) in
   let idx =
     match m.Machine.mindex with
     | None -> 0
-    | Some i -> Int64.to_int (Array.unsafe_get regs i) * m.Machine.mscale
+    | Some i -> Int64.to_int (get regs i) * m.Machine.mscale
   in
   base + idx + m.Machine.mdisp
 
@@ -362,48 +394,34 @@ let run t memio ~fuel =
           decr remaining;
           pcr := leader + j + 1;
           (match Array.unsafe_get slots j with
-          | SImm (r, v) -> Array.unsafe_set regs r v
-          | SMovR (d, s) -> Array.unsafe_set regs d (Array.unsafe_get regs s)
-          | SAlu3 (op, d, a, b) ->
-              Array.unsafe_set regs d
-                (eval_binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
-          | SAlu2 (op, d, s) ->
-              Array.unsafe_set regs d
-                (eval_binop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
-          | SAluI (op, d, v) ->
-              Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) v)
-          | SAlu3I (op, d, a, v) ->
-              Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs a) v)
+          | SImm (r, v) -> set regs r v
+          | SMovR (d, s) -> set regs d (get regs s)
+          | SAlu3 (op, d, a, b) -> binop_into regs d op (get regs a) (get regs b)
+          | SAlu2 (op, d, s) -> binop_into regs d op (get regs d) (get regs s)
+          | SAluI (op, d, v) -> binop_into regs d op (get regs d) v
+          | SAlu3I (op, d, a, v) -> binop_into regs d op (get regs a) v
           | SLoad (bytes, d, m) ->
               let va = effective_address regs m in
-              Array.unsafe_set regs d (load bytes va)
+              set regs d (load bytes va)
           | SStore (bytes, s, m) ->
               let va = effective_address regs m in
-              store bytes va (Array.unsafe_get regs s)
+              store bytes va (get regs s)
           | SAluMem (op, d, m) ->
               let va = effective_address regs m in
-              Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) (load 8 va))
+              binop_into regs d op (get regs d) (load 8 va)
           | SFAluMem (op, d, m) ->
               let va = effective_address regs m in
-              Array.unsafe_set regs d (eval_fbinop op (Array.unsafe_get regs d) (load 8 va))
-          | SFAlu3 (op, d, a, b) ->
-              Array.unsafe_set regs d
-                (eval_fbinop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
-          | SFAlu2 (op, d, s) ->
-              Array.unsafe_set regs d
-                (eval_fbinop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
-          | SCvtIF (d, s) ->
-              Array.unsafe_set regs d
-                (Int64.bits_of_float (Int64.to_float (Array.unsafe_get regs s)))
-          | SCvtFI (d, s) ->
-              Array.unsafe_set regs d
-                (Int64.of_float (Int64.float_of_bits (Array.unsafe_get regs s)))
+              fbinop_into regs d op (get regs d) (load 8 va)
+          | SFAlu3 (op, d, a, b) -> fbinop_into regs d op (get regs a) (get regs b)
+          | SFAlu2 (op, d, s) -> fbinop_into regs d op (get regs d) (get regs s)
+          | SCvtIF (d, s) -> set regs d (Int64.bits_of_float (Int64.to_float (get regs s)))
+          | SCvtFI (d, s) -> set regs d (Int64.of_float (Int64.float_of_bits (get regs s)))
           | SJmp target ->
               (* Terminal slot by construction (j = len - 1). *)
               pcr := target;
               if target <> leader then note_leader t target
           | SBr (c, a, b, target) ->
-              if eval_cond c (Array.unsafe_get regs a) (Array.unsafe_get regs b) then begin
+              if eval_cond c (get regs a) (get regs b) then begin
                 pcr := target;
                 exited := true;
                 stats.tc_side_exits <- stats.tc_side_exits + 1;
@@ -429,47 +447,35 @@ let run t memio ~fuel =
              (* [pc < nops] was just checked, so ops/code_off reads are in
                 bounds; register indices were validated at [create]. *)
              match Array.unsafe_get ops pc with
-             | Machine.MImm (r, v) -> Array.unsafe_set regs r v
-             | Machine.MMovR (d, s) -> Array.unsafe_set regs d (Array.unsafe_get regs s)
-             | Machine.MAlu3 (op, d, a, b) ->
-                 Array.unsafe_set regs d
-                   (eval_binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
-             | Machine.MAlu2 (op, d, s) ->
-                 Array.unsafe_set regs d
-                   (eval_binop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
-             | Machine.MAluI (op, d, v) ->
-                 Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) v)
-             | Machine.MAlu3I (op, d, a, v) ->
-                 Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs a) v)
+             | Machine.MImm (r, v) -> set regs r v
+             | Machine.MMovR (d, s) -> set regs d (get regs s)
+             | Machine.MAlu3 (op, d, a, b) -> binop_into regs d op (get regs a) (get regs b)
+             | Machine.MAlu2 (op, d, s) -> binop_into regs d op (get regs d) (get regs s)
+             | Machine.MAluI (op, d, v) -> binop_into regs d op (get regs d) v
+             | Machine.MAlu3I (op, d, a, v) -> binop_into regs d op (get regs a) v
              | Machine.MLoad (w, d, m) ->
                  let va = effective_address regs m in
-                 Array.unsafe_set regs d (load (bytes_of_width w) va)
+                 set regs d (load (bytes_of_width w) va)
              | Machine.MStore (w, s, m) ->
                  let va = effective_address regs m in
-                 store (bytes_of_width w) va (Array.unsafe_get regs s)
+                 store (bytes_of_width w) va (get regs s)
              | Machine.MAluMem (op, d, m) ->
                  let va = effective_address regs m in
-                 Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) (load 8 va))
+                 binop_into regs d op (get regs d) (load 8 va)
              | Machine.MFAluMem (op, d, m) ->
                  let va = effective_address regs m in
-                 Array.unsafe_set regs d (eval_fbinop op (Array.unsafe_get regs d) (load 8 va))
-             | Machine.MFAlu3 (op, d, a, b) ->
-                 Array.unsafe_set regs d
-                   (eval_fbinop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
-             | Machine.MFAlu2 (op, d, s) ->
-                 Array.unsafe_set regs d
-                   (eval_fbinop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
+                 fbinop_into regs d op (get regs d) (load 8 va)
+             | Machine.MFAlu3 (op, d, a, b) -> fbinop_into regs d op (get regs a) (get regs b)
+             | Machine.MFAlu2 (op, d, s) -> fbinop_into regs d op (get regs d) (get regs s)
              | Machine.MCvtIF (d, s) ->
-                 Array.unsafe_set regs d
-                   (Int64.bits_of_float (Int64.to_float (Array.unsafe_get regs s)))
+                 set regs d (Int64.bits_of_float (Int64.to_float (get regs s)))
              | Machine.MCvtFI (d, s) ->
-                 Array.unsafe_set regs d
-                   (Int64.of_float (Int64.float_of_bits (Array.unsafe_get regs s)))
+                 set regs d (Int64.of_float (Int64.float_of_bits (get regs s)))
              | Machine.MJmp target ->
                  pcr := target;
                  note_leader t target
              | Machine.MBr (c, a, b, target) ->
-                 if eval_cond c (Array.unsafe_get regs a) (Array.unsafe_get regs b) then begin
+                 if eval_cond c (get regs a) (get regs b) then begin
                    pcr := target;
                    note_leader t target
                  end

@@ -80,9 +80,20 @@ val pc : t -> int
 val set_pc : t -> int -> unit
 val icount : t -> int
 val reg : t -> Mir.reg -> int64
+(** Raises [Invalid_argument] for a register outside the program's
+    [nregs]. *)
+
 val set_reg : t -> Mir.reg -> int64 -> unit
+(** Raises [Invalid_argument] for a register outside the program's
+    [nregs]. *)
+
 val regs : t -> int64 array
-(** The live register file (shared, not a copy). *)
+(** A copy of the register file; later writes to either side are not
+    shared. *)
+
+val copy_regs : src:t -> dst:t -> int
+(** Copy the registers the two files have in common (the first
+    [min] of their [nregs]) from [src] to [dst]; returns how many. *)
 
 val run : t -> memio -> fuel:int -> outcome
 (** Execute at most [fuel] instructions. *)

@@ -7,10 +7,7 @@ let transform ~src ~point ~dst_prog =
      destination ISA's encoding. *)
   Interp.invalidate_traces src;
   let dst = Interp.create ?tc:(Interp.tc src) dst_prog in
-  let src_regs = Interp.regs src in
-  let dst_regs = Interp.regs dst in
-  let n = min (Array.length src_regs) (Array.length dst_regs) in
-  Array.blit src_regs 0 dst_regs 0 n;
+  let n = Interp.copy_regs ~src ~dst in
   Interp.set_pc dst (Machine.find_migrate_pc dst_prog point + 1);
   if Trace.enabled () then
     Trace.instant ~subsys:"migrate" ~op:"transform"

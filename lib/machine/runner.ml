@@ -96,11 +96,10 @@ let quantum_boundary machine ~count ~now =
   Quantum.fire (Machine.quantum machine) ~now
 
 let resolve_futex_args thread (syscall : Mir.syscall) =
-  let regs = Interp.regs thread.Thread.cpu in
+  let reg = Interp.reg thread.Thread.cpu in
   match syscall with
-  | Mir.Futex_wait { uaddr; expected } ->
-      `Wait (Int64.to_int regs.(uaddr), regs.(expected))
-  | Mir.Futex_wake { uaddr; nwake } -> `Wake (Int64.to_int regs.(uaddr), nwake)
+  | Mir.Futex_wait { uaddr; expected } -> `Wait (Int64.to_int (reg uaddr), reg expected)
+  | Mir.Futex_wake { uaddr; nwake } -> `Wake (Int64.to_int (reg uaddr), nwake)
 
 (* Assemble the result from the machine's counters plus the scheduler's
    accumulators. (This replaces an earlier [collect] helper that

@@ -29,13 +29,14 @@ let private_region = function
 let message_ring = { lo = Addr.gib 4; hi = Addr.gib 4 + Addr.mib 128 }
 let pool = { lo = message_ring.hi; hi = Addr.gib 8 }
 
-let pool_half = function
-  | Node_id.X86 -> { lo = Addr.gib 4; hi = Addr.gib 6 }
-  | Node_id.Arm -> { lo = Addr.gib 6; hi = Addr.gib 8 }
+(* Bound once: [locality] asks for a half on every Separated-model miss,
+   and a record built per call would be a heap allocation each time. *)
+let x86_pool_half = { lo = Addr.gib 4; hi = Addr.gib 6 }
+let arm_pool_half = { lo = Addr.gib 6; hi = Addr.gib 8 }
+
+let pool_half = function Node_id.X86 -> x86_pool_half | Node_id.Arm -> arm_pool_half
 
 type locality = Local | Remote
-
-let upper = { lo = Addr.gib 4; hi = Addr.gib 8 }
 
 let locality model ~node a =
   match model with
@@ -44,10 +45,7 @@ let locality model ~node a =
       if region_contains (private_region node) a then Local
       else if region_contains (pool_half node) a then Local
       else Remote
-  | Shared ->
-      if region_contains (private_region node) a then Local
-      else if region_contains upper a then Remote
-      else Remote
+  | Shared -> if region_contains (private_region node) a then Local else Remote
 
 let in_message_ring a = region_contains message_ring a
 

@@ -70,6 +70,60 @@ let test_directory () =
   Alcotest.(check bool) "x86 back to I" true (not (Directory.holds d x86 ~line:7));
   Alcotest.(check bool) "arm unaffected" true (Directory.holds d arm ~line:7)
 
+(* The directory against a [Hashtbl] model, over random set/get/holds
+   sequences on clustered line numbers: dense runs at a few far-apart
+   bases collide in the table, lines dropping back to I/I delete from the
+   middle of probe chains, and more than 2048 live lines force growth. *)
+let prop_directory_model =
+  QCheck.Test.make ~name:"directory agrees with a Hashtbl model" ~count:20 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int (seed + 3)) in
+      let d = Directory.create () in
+      let model : (int * Node_id.t, Mesi.state) Hashtbl.t = Hashtbl.create 64 in
+      let state line node = Option.value ~default:Mesi.I (Hashtbl.find_opt model (line, node)) in
+      let bases = [| 0; 1 lsl 20; (1 lsl 30) + 17; 7 * 4096 |] in
+      let span = 1200 + Rng.int rng 1200 in
+      let random_line () = bases.(Rng.int rng 4) + Rng.int rng span in
+      let states = [| Mesi.I; Mesi.I; Mesi.S; Mesi.E; Mesi.M |] in
+      let agrees line =
+        List.for_all
+          (fun node ->
+            Directory.get d node ~line = state line node
+            && Directory.holds d node ~line = not (Mesi.equal (state line node) Mesi.I))
+          Node_id.all
+      in
+      let ok = ref true in
+      for step = 1 to 12_000 do
+        let line = random_line () in
+        let node = if Rng.bool rng then x86 else arm in
+        (* a drain phase in the middle empties most chains, then refills *)
+        let st =
+          if step > 6_000 && step < 8_000 then Mesi.I
+          else states.(Rng.int rng (Array.length states))
+        in
+        Directory.set d node ~line st;
+        if Mesi.equal st Mesi.I then Hashtbl.remove model (line, node)
+        else Hashtbl.replace model (line, node) st;
+        if not (agrees line && agrees (random_line ())) then ok := false
+      done;
+      Array.iter
+        (fun base ->
+          for off = 0 to span - 1 do
+            if not (agrees (base + off)) then ok := false
+          done)
+        bases;
+      let expected =
+        Hashtbl.fold (fun (line, _) _ acc -> line :: acc) model [] |> List.sort_uniq compare
+      in
+      let visited = ref [] in
+      Directory.iter_lines d ~f:(fun line -> visited := line :: !visited);
+      let visited = List.sort compare !visited in
+      if not !ok then QCheck.Test.fail_report "get/holds disagree with the model"
+      else if visited <> expected then
+        QCheck.Test.fail_reportf "iter_lines visited %d lines, model holds %d"
+          (List.length visited) (List.length expected)
+      else List.length expected > 0)
+
 (* ---------- Cache_sim basics ---------- *)
 
 let test_miss_then_hit () =
@@ -231,7 +285,104 @@ let test_consistency_after_atomics () =
   done;
   Alcotest.(check bool) "consistent" true (Cache_sim.check_consistency c = Ok ())
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_ruby_agreement; prop_consistency ]
+(* ---------- zero allocation on the per-access path ---------- *)
+
+(* A fixed stream over both nodes and all three access kinds: a hot set
+   (L0/L1 hits, and loads by both nodes followed by stores, i.e. S->M
+   upgrades that snoop the peer) mixed with a cold set three times the L3
+   size (L2/L3 hits, full misses with dirty evictions, and back-invalidates
+   from a shared L3). Precomputed, so replaying it allocates nothing of
+   its own. *)
+let alloc_stream ~seed =
+  let n = 60_000 in
+  let rng = Rng.create ~seed in
+  let l3_lines = (Config.default Layout.Shared).Config.l3.Config.size / 64 in
+  let nodes = Array.make n x86 and kinds = Array.make n Cache_sim.Load in
+  let addrs = Array.make n 0 in
+  for i = 0 to n - 1 do
+    nodes.(i) <- (if Rng.bool rng then x86 else arm);
+    kinds.(i) <-
+      (match Rng.int rng 10 with
+      | 0 -> Cache_sim.Ifetch
+      | 1 | 2 | 3 -> Cache_sim.Store
+      | _ -> Cache_sim.Load);
+    (* cold lines alternate between the two private ranges and the pool,
+       so every locality class is filled *)
+    addrs.(i) <-
+      (if Rng.int rng 10 < 7 then a_local + (64 * Rng.int rng 96)
+       else
+         let line = Rng.int rng (3 * l3_lines) in
+         [| Addr.mib 64; Layout.arm_private.Layout.lo; Addr.gib 5 |].(line mod 3)
+         + (64 * line))
+  done;
+  (nodes, kinds, addrs)
+
+let replay c (nodes, kinds, addrs) =
+  for i = 0 to Array.length addrs - 1 do
+    ignore (Cache_sim.access c ~node:(Array.unsafe_get nodes i) (Array.unsafe_get kinds i)
+              ~paddr:(Array.unsafe_get addrs i))
+  done
+
+(* One counter per path the stream aims at, per node. *)
+let path_counters c =
+  let stats =
+    [ "l1d_hits"; "l2_hits"; "l3_hits"; "local_mem_hits"; "remote_mem_hits"; "writebacks";
+      "snoop_invalidates"; "snoop_data"; "back_invalidations" ]
+  in
+  List.concat_map
+    (fun node ->
+      List.map
+        (fun name -> (Node_id.to_string node ^ "." ^ name, Cache_sim.stat c node name))
+        stats)
+    Node_id.all
+  @ Cache_sim.fastpath_stats c
+
+let test_access_allocates_nothing hw mode () =
+  let c = fresh ~hw () in
+  Cache_sim.set_mode c mode;
+  let fired = ref 0 in
+  Cache_sim.set_writeback_hook c (Some (fun _node ~line:_ -> incr fired));
+  let ((_, _, addrs) as stream) = alloc_stream ~seed:11L in
+  (* warm-up: every table reaches its steady-state size *)
+  replay c stream;
+  replay c stream;
+  let before = path_counters c and fired_before = !fired in
+  let w0 = Gc.minor_words () in
+  replay c stream;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  (* a few words are the boxed floats of reading the counter *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor words over %d accesses" words (Array.length addrs))
+    true (words <= 8);
+  Alcotest.(check bool) "write-back hook fired" true (!fired > fired_before);
+  (* the measured pass exercised every path the stream aims at; paths a
+     model or mode cannot take are exempt *)
+  let exempt name =
+    let ends_with suffix = String.ends_with ~suffix name in
+    (ends_with "l0_hits" || ends_with "l0_misses") && mode = Cache_sim.Reference
+    || ends_with "back_invalidations" && hw <> Layout.Fully_shared
+    || ends_with "remote_mem_hits" && hw = Layout.Fully_shared
+  in
+  List.iter2
+    (fun (name, a) (_, b) ->
+      if not (exempt name) then
+        Alcotest.(check bool) (name ^ " taken in measured pass") true (b > a))
+    before (path_counters c)
+
+let alloc_cases =
+  List.concat_map
+    (fun hw ->
+      List.map
+        (fun (mode, mname) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s %s" (Layout.hw_model_to_string hw) mname)
+            `Quick (test_access_allocates_nothing hw mode))
+        [ (Cache_sim.Fast, "fast"); (Cache_sim.Reference, "reference") ])
+    Layout.all_hw_models
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_ruby_agreement; prop_consistency; prop_directory_model ]
 
 let () =
   Alcotest.run "cache"
@@ -261,5 +412,6 @@ let () =
           Alcotest.test_case "ifetch l1i" `Quick test_ifetch_uses_l1i;
           Alcotest.test_case "consistency after atomics" `Quick test_consistency_after_atomics;
         ] );
+      ("zero alloc", alloc_cases);
       ("properties", qsuite);
     ]

@@ -328,7 +328,7 @@ let run_fingerprint ?tc image =
   let cpu = Interp.create ?tc image in
   let memio, mem, log = fingerprint_memio () in
   let outcome = Interp.run cpu memio ~fuel:10_000_000 in
-  (outcome, Interp.icount cpu, Array.copy (Interp.regs cpu), Buffer.contents log, mem, cpu)
+  (outcome, Interp.icount cpu, Interp.regs cpu, Buffer.contents log, mem, cpu)
 
 let prop_trace_cache_fingerprint =
   QCheck.Test.make
@@ -480,6 +480,99 @@ let test_syscall_outcome () =
   | _ -> Alcotest.fail "expected futex syscall outcome");
   check64 "uaddr register readable" 0x100L (Interp.reg cpu w)
 
+(* ---------- unboxed register file ---------- *)
+
+(* An endless loop of integer ALU ops (every binop, register and
+   immediate forms), float ops and conversions, and a branch on every
+   condition; no data memory traffic. *)
+let alu_float_branch_loop () =
+  let b = B.create () in
+  let x = B.immi b 12345 and y = B.immi b 77 in
+  let fx = B.fimm b 1.5 and fy = B.fimm b 0.25 in
+  B.for_up_const b ~lo:0 ~hi:(1 lsl 40) (fun i ->
+      List.iter
+        (fun op -> B.bin_to b op x x y)
+        [ Mir.Add; Mir.Mul; Mir.Sub; Mir.Xor; Mir.Or; Mir.And; Mir.Shl; Mir.Shr ];
+      B.emit b (Mir.Bini (Mir.Add, x, x, 3L));
+      let q = B.bin b Mir.Div x y in
+      let r = B.bin b Mir.Rem q y in
+      B.add_to b x x r;
+      B.add_to b x x i;
+      B.fadd_to b fx fx fy;
+      B.fmul_to b fx fx fy;
+      let d = B.fdiv b fx fy in
+      let e = B.fsub b d fy in
+      B.emit b (Mir.Int_of_f (r, e));
+      let f = B.f_of_int b r in
+      B.fadd_to b fx f fy;
+      List.iter
+        (fun cond ->
+          let skip = B.label b in
+          B.branch b cond x y skip;
+          B.addi_to b y y 1;
+          B.place b skip)
+        [ Mir.Eq; Mir.Ne; Mir.Lt; Mir.Le; Mir.Gt; Mir.Ge ];
+      B.andi b y 1023 |> B.set b y;
+      B.addi_to b y y 1);
+  B.finish b
+
+let test_run_allocates_nothing isa ~traced () =
+  let image = Codegen.lower ~isa (alu_float_branch_loop ()) in
+  let tc = if traced then Some (Interp.make_tc ()) else None in
+  let cpu = Interp.create ?tc image in
+  let fetched = ref 0 in
+  let memio =
+    {
+      Interp.load = (fun _ _ -> Alcotest.fail "unexpected load");
+      store = (fun _ _ _ -> Alcotest.fail "unexpected store");
+      fetch = (fun _ -> incr fetched);
+    }
+  in
+  (* warm-up builds the traces *)
+  ignore (Interp.run cpu memio ~fuel:100_000);
+  let fuel = 1_000_000 in
+  let w0 = Gc.minor_words () in
+  let outcome = Interp.run cpu memio ~fuel in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Alcotest.(check bool) "ran out of fuel" true (outcome = Interp.Out_of_fuel);
+  checki "one fetch per instruction" (100_000 + fuel) !fetched;
+  (match tc with
+  | Some tc ->
+      Alcotest.(check bool) "traces ran" true (List.assoc "tc.instrs" (Interp.tc_counters tc) > 0)
+  | None -> ());
+  (* [run]'s own per-call setup is a few dozen words; nothing per
+     instruction *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words over %d instructions" words fuel)
+    true (words < 64)
+
+let test_register_bounds () =
+  let b = B.create () in
+  let r = B.immi b 5 in
+  let image = Codegen.lower ~isa:Node_id.X86 (B.finish b) in
+  let cpu = Interp.create image in
+  let n = image.Machine_code.nregs in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "reg -1" (fun () -> Interp.reg cpu (-1));
+  raises "reg nregs" (fun () -> Interp.reg cpu n);
+  raises "reg max_int" (fun () -> Interp.reg cpu max_int);
+  raises "set_reg -1" (fun () -> Interp.set_reg cpu (-1) 1L);
+  raises "set_reg nregs" (fun () -> Interp.set_reg cpu n 1L);
+  raises "set_reg min_int" (fun () -> Interp.set_reg cpu min_int 1L);
+  Interp.set_reg cpu (n - 1) Int64.min_int;
+  check64 "last register round-trips" Int64.min_int (Interp.reg cpu (n - 1));
+  (* [regs] is a snapshot: writing to it leaves the CPU untouched *)
+  let snap = Interp.regs cpu in
+  checki "snapshot covers the file" n (Array.length snap);
+  snap.(r) <- 99L;
+  Interp.set_reg cpu r 7L;
+  check64 "cpu unaffected by snapshot write" 7L (Interp.reg cpu r);
+  check64 "snapshot unaffected by cpu write" 99L snap.(r)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_binop_semantics; prop_cross_isa_equivalence; prop_trace_cache_fingerprint ]
@@ -500,6 +593,15 @@ let () =
           Alcotest.test_case "for_range" `Quick test_for_range_runtime_bounds;
           Alcotest.test_case "branch conditions" `Quick test_branch_conditions;
           Alcotest.test_case "syscall outcome" `Quick test_syscall_outcome;
+          Alcotest.test_case "register bounds" `Quick test_register_bounds;
+          Alcotest.test_case "x86 loop allocates nothing" `Quick
+            (test_run_allocates_nothing Node_id.X86 ~traced:false);
+          Alcotest.test_case "arm loop allocates nothing" `Quick
+            (test_run_allocates_nothing Node_id.Arm ~traced:false);
+          Alcotest.test_case "traced x86 loop allocates nothing" `Quick
+            (test_run_allocates_nothing Node_id.X86 ~traced:true);
+          Alcotest.test_case "traced arm loop allocates nothing" `Quick
+            (test_run_allocates_nothing Node_id.Arm ~traced:true);
         ] );
       ( "codegen",
         [
