@@ -1,3 +1,4 @@
+module Cache_config = Stramash_cache.Config
 module Layout = Stramash_mem.Layout
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
@@ -32,7 +33,10 @@ let configurations =
   ]
 
 let run_one ?l3_size ~os ~hw_model spec =
-  let machine = Machine.create { Machine.default_config with os; hw_model; l3_size } in
+  let cache_config =
+    Option.map (Cache_config.with_l3_size (Cache_config.default hw_model)) l3_size
+  in
+  let machine = Machine.create { Machine.default_config with os; hw_model; cache_config } in
   let proc, thread = Machine.load machine spec in
   Runner.run machine proc thread spec
 

@@ -45,26 +45,22 @@ let all_os_choices = [ Vanilla; Popcorn_tcp; Popcorn_shm; Stramash_kernel_os ]
 type config = {
   hw_model : Layout.hw_model;
   os : os_choice;
-  l3_size : int option;
   cache_config : Cache_config.t option;
   msg_notify : Msg_layer.notify_mode;
   seed : int64;
   inject : Plan.config option;
   cache_mode : Cache_sim.mode;
-  trace_cache : bool;
 }
 
 let default_config =
   {
     hw_model = Layout.Shared;
     os = Stramash_kernel_os;
-    l3_size = None;
     cache_config = None;
     msg_notify = Msg_layer.Ipi;
     seed = 0xC0FFEEL;
     inject = None;
     cache_mode = Cache_sim.Fast;
-    trace_cache = true;
   }
 
 type t = {
@@ -74,11 +70,6 @@ type t = {
   inject_plan : Plan.t option;
   rng : Rng.t;
   quantum : Quantum.t;
-  (* One trace-cache handle per machine (None with the cache disabled):
-     every interpreter the machine creates shares it, so its counters
-     describe the whole run and never cross a machine (or host-domain)
-     boundary. *)
-  tc : Interp.tc option;
   mutable placement : Placement.t option;
   mutable next_pid : int;
   mutable next_tid : int; (* machine-global: futex queues and the scheduler key on tids *)
@@ -92,12 +83,9 @@ let fresh_tid t =
 
 let create cfg =
   let cache_cfg =
-    let base =
-      match cfg.cache_config with
-      | Some c -> { c with Cache_config.hw_model = cfg.hw_model }
-      | None -> Cache_config.default cfg.hw_model
-    in
-    match cfg.l3_size with None -> base | Some size -> Cache_config.with_l3_size base size
+    match cfg.cache_config with
+    | Some c -> { c with Cache_config.hw_model = cfg.hw_model }
+    | None -> Cache_config.default cfg.hw_model
   in
   let cache = Cache_sim.create cache_cfg in
   Cache_sim.set_mode cache cfg.cache_mode;
@@ -142,7 +130,6 @@ let create cfg =
       inject_plan;
       rng = Rng.create ~seed:cfg.seed;
       quantum = Quantum.create ();
-      tc = (if cfg.trace_cache then Some (Interp.make_tc ()) else None);
       placement = None;
       next_pid = 1;
       next_tid = 0;
@@ -186,10 +173,6 @@ let threads t = t.all_threads
 let meter_of t node = Env.meter t.env node
 let quantum t = t.quantum
 let placement t = t.placement
-let trace_cache t = t.tc
-
-let trace_cache_counters t =
-  match t.tc with Some tc -> Interp.tc_counters tc | None -> []
 
 (* The engine must see every access from the first instruction on, and
    its per-proc state starts at [load] — so attachment is only legal on a
@@ -290,7 +273,7 @@ let load t (spec : Spec.t) =
         write_init t ~frame_of ~base:seg.Spec.base seg.Spec.init ~len:seg.Spec.len
       end)
     spec.Spec.segments;
-  let cpu = Interp.create ?tc:t.tc (Process.image proc origin) in
+  let cpu = Interp.create (Process.image proc origin) in
   let thread = Thread.create ~tid:(fresh_tid t) ~origin ~cpu in
   t.all_threads <- thread :: t.all_threads;
   (match t.placement with Some e -> Placement.register_proc e proc | None -> ());
@@ -321,7 +304,7 @@ let read_user_f64 t ~proc ~node ~vaddr =
 let spawn_thread t proc ~at_point ~node =
   ignore (Env.ensure_mm t.env ~proc ~node);
   let image = Process.image proc node in
-  let cpu = Interp.create ?tc:t.tc image in
+  let cpu = Interp.create image in
   ignore (Process.fresh_tid proc);
   let tid = fresh_tid t in
   Interp.set_pc cpu (Machine_code.find_migrate_pc image at_point + 1);

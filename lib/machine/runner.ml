@@ -28,7 +28,7 @@ type ext = {
   l0_misses : int array;
   node_downtime : int array; (* cycles each node spent crash-stopped *)
   placement : (string * int) list; (* placement.* counters; [] when detached *)
-  trace_cache : (string * int) list; (* tc.* counters; [] when disabled *)
+  trace_cache : (string * int) list; (* always []; kept only for perfbench *)
 }
 
 type result = {
@@ -148,7 +148,7 @@ let collect machine ~node_icounts ~migrations ~user_stalls ~idle ~marks =
           (match Machine.placement machine with
           | Some engine -> Placement.counters engine
           | None -> []);
-        trace_cache = Machine.trace_cache_counters machine;
+        trace_cache = [];
       };
   }
 
@@ -265,23 +265,12 @@ let run_scheduler ?on_recovery machine items ~fuel =
     |> List.rev
   in
   let wall () = Array.fold_left (fun a m -> max a (Meter.get m)) 0 env.Env.meters in
-  (* Crash-stop injection and checkpoint restore can change control flow
-     and memory mappings out from under a thread (restored register
-     state, re-seeded pages), so any superblock trace built for a CPU on
-     the affected node is dropped before that CPU runs again. *)
-  let invalidate_node_traces node =
-    List.iter
-      (fun th ->
-        if Node_id.equal th.Thread.node node then Interp.invalidate_traces th.Thread.cpu)
-      (Machine.threads machine)
-  in
   let do_kill (ev : Plan.node_event) =
     let node = ev.Plan.node in
     if not (Liveness.is_alive liveness (Node_id.other node)) then
       invalid_arg "Runner: chaos schedule kills a node while its peer is already dead";
     let now = wall () in
     Liveness.kill liveness node ~at:now;
-    invalidate_node_traces node;
     Os.on_node_death os ~procs ~threads:(Machine.threads machine) ~node ~now;
     match ev.Plan.restart_after with
     | None -> ()
@@ -290,7 +279,6 @@ let run_scheduler ?on_recovery machine items ~fuel =
   let do_restart node ~at =
     Liveness.revive liveness node ~at;
     advance_to node at;
-    invalidate_node_traces node;
     Os.on_node_restart os ~procs ~node ~now:at;
     (* The checkpoint restore faithfully reinstalls any replica leaf the
        node held at death; if the replica was collapsed while it was
@@ -532,13 +520,5 @@ let pp_result fmt r =
       Format.fprintf fmt "  Runtime: %d cycles (%.3f ms)@." r.node_cycles.(idx)
         (Cycles.to_ms r.node_cycles.(idx)))
     Node_id.all;
-  (match r.ext.trace_cache with
-  | [] -> ()
-  | tcs ->
-      let g n = match List.assoc_opt n tcs with Some v -> v | None -> 0 in
-      if g "tc.entered" > 0 then
-        Format.fprintf fmt
-          "Trace cache: %d built, %d entries, %d instructions replayed, %d side exits, %d flushes@."
-          (g "tc.built") (g "tc.entered") (g "tc.instrs") (g "tc.side_exits") (g "tc.flushes"));
   Format.fprintf fmt "Wall: %d cycles (%.3f ms); migrations=%d messages=%d replicated=%d@."
     r.wall_cycles (Cycles.to_ms r.wall_cycles) r.migrations r.messages r.replicated_pages

@@ -22,9 +22,8 @@ type ext = {
       (* placement.* counter snapshot from the attached engine ([] when no
          engine is attached) *)
   trace_cache : (string * int) list;
-      (* tc.* superblock trace-cache counters ([] when disabled); host
-         telemetry like the L0 arrays — excluded from model metrics so
-         registries compare equal with the cache on or off *)
+      (* always [] — the trace cache was deleted; kept only because the
+         perfbench harness reads it, until the next benchmark change *)
 }
 (** Result-extension record: the per-PR counters (fast-path L0, chaos
     downtime, placement) collected in one place instead of as ad-hoc

@@ -111,6 +111,47 @@ let test_division_by_zero_traps () =
   Alcotest.check_raises "div by zero traps" (Interp.Trap "division by zero") (fun () ->
       ignore (Interp.run cpu memio ~fuel:100))
 
+(* The divisor reaches zero on the ninth iteration, so the trap is
+   raised from inside the loop. [run] keeps pc and icount in locals and
+   must flush them on the way out: pc just past the faulting division,
+   icount counting every fetched instruction including it. *)
+let test_trap_flushes_pc_and_icount () =
+  let b = B.create () in
+  let acc = B.immi b 1 in
+  B.for_up_const b ~lo:0 ~hi:32 (fun i ->
+      let eight = B.immi b 8 in
+      let d = B.sub b eight i in
+      B.bin_to b Mir.Div acc acc d);
+  let prog = B.finish b in
+  List.iter
+    (fun isa ->
+      let image = Codegen.lower ~isa prog in
+      let cpu = Interp.create image in
+      let plain, _ = flat_memio () in
+      let fetches = ref 0 and last = ref (-1) in
+      let fetch vaddr =
+        incr fetches;
+        last := vaddr
+      in
+      (match Interp.run cpu { plain with Interp.fetch } ~fuel:1_000_000 with
+      | exception Interp.Trap "division by zero" -> ()
+      | _ -> Alcotest.fail "expected a division trap");
+      let div_pc =
+        let rec find pc =
+          match image.Machine_code.ops.(pc) with
+          | Machine_code.MAlu2 (Mir.Div, _, _) | Machine_code.MAlu3 (Mir.Div, _, _, _) -> pc
+          | _ -> find (pc + 1)
+        in
+        find 0
+      in
+      checki "last fetch is the division"
+        (Codegen.code_base + image.Machine_code.code_off.(div_pc))
+        !last;
+      checki "pc just past the division" (div_pc + 1) (Interp.pc cpu);
+      checki "icount counts every fetched instruction" !fetches (Interp.icount cpu);
+      Alcotest.(check bool) "trapped mid-loop" true (Interp.icount cpu > 8 * 3))
+    Node_id.all
+
 (* ---------- loops & addressing ---------- *)
 
 let test_loop_and_indexed_store () =
@@ -280,153 +321,6 @@ let prop_cross_isa_equivalence =
       in
       dump Node_id.X86 = dump Node_id.Arm)
 
-(* ---------- superblock trace cache ---------- *)
-
-(* A memio that fingerprints every interaction: the trace cache is pure
-   host machinery, so a traced run must produce the exact fetch/load/
-   store stream of the plain dispatch loop, not merely the same final
-   state. *)
-let fingerprint_memio () =
-  let plain, mem = flat_memio () in
-  let log = Buffer.create 4096 in
-  let load width vaddr =
-    let v = plain.Interp.load width vaddr in
-    Buffer.add_string log (Printf.sprintf "L%d@%x=%Lx;" width vaddr v);
-    v
-  in
-  let store width vaddr value =
-    Buffer.add_string log (Printf.sprintf "S%d@%x=%Lx;" width vaddr value);
-    plain.Interp.store width vaddr value
-  in
-  let fetch pc = Buffer.add_string log (Printf.sprintf "F%x;" pc) in
-  ({ Interp.load; store; fetch }, mem, log)
-
-(* A hot loop with a data-dependent branch: iterations below [cut] take
-   the branch, so once the trace is built at the loop head the branch is
-   a mid-trace side exit back to generic dispatch. *)
-let side_exit_program ops ~cut =
-  let b = B.create () in
-  let base = B.immi b 0x8000 in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:40 (fun i ->
-      List.iteri
-        (fun slot (opn, v) ->
-          let rv = B.immi b v in
-          match opn with
-          | 0 -> B.add_to b acc acc rv
-          | 1 -> B.bin_to b Mir.Xor acc acc rv
-          | 2 -> B.add_to b acc acc i
-          | _ -> B.store b Mir.W64 acc (Mir.based_disp base ((slot mod 8) * 8)))
-        ops;
-      let skip = B.label b in
-      B.branchi b Mir.Lt i cut skip;
-      B.store b Mir.W64 i (Mir.based_disp base 128);
-      B.place b skip);
-  B.finish b
-
-let run_fingerprint ?tc image =
-  let cpu = Interp.create ?tc image in
-  let memio, mem, log = fingerprint_memio () in
-  let outcome = Interp.run cpu memio ~fuel:10_000_000 in
-  (outcome, Interp.icount cpu, Interp.regs cpu, Buffer.contents log, mem, cpu)
-
-let prop_trace_cache_fingerprint =
-  QCheck.Test.make
-    ~name:"traced run fingerprints identical to plain dispatch (forced side exits)" ~count:60
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 8) (pair (int_range 0 3) (int_range 0 100)))
-        (int_range 1 39))
-    (fun (ops, cut) ->
-      let image = Codegen.lower ~isa:Node_id.X86 (side_exit_program ops ~cut) in
-      let o_plain, ic_plain, regs_plain, log_plain, _, _ = run_fingerprint image in
-      let tc = Interp.make_tc ~threshold:2 () in
-      let o_tc, ic_tc, regs_tc, log_tc, _, cpu = run_fingerprint ~tc image in
-      let counters = Interp.tc_counters tc in
-      let c name = match List.assoc_opt name counters with Some v -> v | None -> 0 in
-      (* the property must not pass vacuously: the loop head gets hot, so
-         traces must have been built, entered, and side-exited *)
-      c "tc.built" > 0 && c "tc.entered" > 0 && c "tc.side_exits" > 0
-      && Interp.trace_count cpu > 0
-      && o_plain = o_tc && ic_plain = ic_tc && regs_plain = regs_tc && log_plain = log_tc)
-
-let hot_loop_program () =
-  let b = B.create () in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:64 (fun i -> B.add_to b acc acc i);
-  let out = B.immi b 0x7000 in
-  B.store b Mir.W64 acc (Mir.based out);
-  B.finish b
-
-let test_tc_invalidate_flushes () =
-  let image = Codegen.lower ~isa:Node_id.X86 (hot_loop_program ()) in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc image in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:10_000 with Interp.Halted -> () | _ -> assert false);
-  Alcotest.(check bool) "traces built" true (Interp.trace_count cpu > 0);
-  let built = Interp.trace_count cpu in
-  Interp.invalidate_traces cpu;
-  checki "all traces dropped" 0 (Interp.trace_count cpu);
-  let flushes =
-    match List.assoc_opt "tc.flushes" (Interp.tc_counters tc) with Some v -> v | None -> 0
-  in
-  checki "every dropped trace counted as a flush" built flushes;
-  (* a fresh interpreter on the same tc handle must re-profile and rebuild *)
-  let cpu2 = Interp.create ~tc image in
-  (match Interp.run cpu2 memio ~fuel:10_000 with Interp.Halted -> () | _ -> assert false);
-  Alcotest.(check bool) "traces rebuilt" true (Interp.trace_count cpu2 > 0);
-  check64 "rerun result intact" (Int64.of_int (64 * 63 / 2)) (memio.Interp.load 8 0x7000)
-
-let test_tc_migration_invalidates () =
-  (* same program as the migration-transform test, but hot enough to
-     build traces on the source before the migration point *)
-  let b = B.create () in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:32 (fun i -> B.add_to b acc acc i);
-  B.migrate_point b 0;
-  B.for_up_const b ~lo:0 ~hi:32 (fun i -> B.add_to b acc acc i);
-  let out = B.immi b 0x7000 in
-  B.store b Mir.W64 acc (Mir.based out);
-  let prog = B.finish b in
-  let x86 = Codegen.lower ~isa:Node_id.X86 prog in
-  let arm = Codegen.lower ~isa:Node_id.Arm prog in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc x86 in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:1_000_000 with
-  | Interp.Migrate 0 -> ()
-  | _ -> Alcotest.fail "expected migration point");
-  Alcotest.(check bool) "source built traces" true (Interp.trace_count cpu > 0);
-  let cpu2 = Migrate_state.transform ~src:cpu ~point:0 ~dst_prog:arm in
-  checki "source traces invalidated by migration" 0 (Interp.trace_count cpu);
-  Alcotest.(check bool) "destination inherits the tc handle" true (Interp.tc cpu2 <> None);
-  (match Interp.run cpu2 memio ~fuel:1_000_000 with
-  | Interp.Halted -> ()
-  | _ -> Alcotest.fail "expected halt after migration");
-  Alcotest.(check bool) "destination rebuilt traces" true (Interp.trace_count cpu2 > 0);
-  check64 "sum across migration" (Int64.of_int (2 * 496)) (memio.Interp.load 8 0x7000)
-
-let test_tc_trap_mid_trace_invalidates () =
-  (* divisor hits zero at iteration 8 — by then the loop-head trace is
-     built (threshold 2), so the Trap is raised from inside a trace replay
-     and must leave the cache empty *)
-  let b = B.create () in
-  let acc = B.immi b 1 in
-  B.for_up_const b ~lo:0 ~hi:32 (fun i ->
-      let eight = B.immi b 8 in
-      let d = B.sub b eight i in
-      B.bin_to b Mir.Div acc acc d);
-  let prog = B.finish b in
-  let image = Codegen.lower ~isa:Node_id.X86 prog in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc image in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:1_000_000 with
-  | exception Interp.Trap _ -> ()
-  | _ -> Alcotest.fail "expected a division trap");
-  checki "traces invalidated by the mid-trace trap" 0 (Interp.trace_count cpu)
-
 (* ---------- migration state transform ---------- *)
 
 let test_migrate_transform () =
@@ -516,10 +410,9 @@ let alu_float_branch_loop () =
       B.addi_to b y y 1);
   B.finish b
 
-let test_run_allocates_nothing isa ~traced () =
+let test_run_allocates_nothing isa () =
   let image = Codegen.lower ~isa (alu_float_branch_loop ()) in
-  let tc = if traced then Some (Interp.make_tc ()) else None in
-  let cpu = Interp.create ?tc image in
+  let cpu = Interp.create image in
   let fetched = ref 0 in
   let memio =
     {
@@ -528,7 +421,6 @@ let test_run_allocates_nothing isa ~traced () =
       fetch = (fun _ -> incr fetched);
     }
   in
-  (* warm-up builds the traces *)
   ignore (Interp.run cpu memio ~fuel:100_000);
   let fuel = 1_000_000 in
   let w0 = Gc.minor_words () in
@@ -536,10 +428,6 @@ let test_run_allocates_nothing isa ~traced () =
   let words = int_of_float (Gc.minor_words () -. w0) in
   Alcotest.(check bool) "ran out of fuel" true (outcome = Interp.Out_of_fuel);
   checki "one fetch per instruction" (100_000 + fuel) !fetched;
-  (match tc with
-  | Some tc ->
-      Alcotest.(check bool) "traces ran" true (List.assoc "tc.instrs" (Interp.tc_counters tc) > 0)
-  | None -> ());
   (* [run]'s own per-call setup is a few dozen words; nothing per
      instruction *)
   Alcotest.(check bool)
@@ -575,7 +463,7 @@ let test_register_bounds () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_binop_semantics; prop_cross_isa_equivalence; prop_trace_cache_fingerprint ]
+    [ prop_binop_semantics; prop_cross_isa_equivalence ]
 
 let () =
   Alcotest.run "isa"
@@ -595,13 +483,9 @@ let () =
           Alcotest.test_case "syscall outcome" `Quick test_syscall_outcome;
           Alcotest.test_case "register bounds" `Quick test_register_bounds;
           Alcotest.test_case "x86 loop allocates nothing" `Quick
-            (test_run_allocates_nothing Node_id.X86 ~traced:false);
+            (test_run_allocates_nothing Node_id.X86);
           Alcotest.test_case "arm loop allocates nothing" `Quick
-            (test_run_allocates_nothing Node_id.Arm ~traced:false);
-          Alcotest.test_case "traced x86 loop allocates nothing" `Quick
-            (test_run_allocates_nothing Node_id.X86 ~traced:true);
-          Alcotest.test_case "traced arm loop allocates nothing" `Quick
-            (test_run_allocates_nothing Node_id.Arm ~traced:true);
+            (test_run_allocates_nothing Node_id.Arm);
         ] );
       ( "codegen",
         [
@@ -615,11 +499,7 @@ let () =
           Alcotest.test_case "transform" `Quick test_migrate_transform;
           Alcotest.test_case "pc table" `Quick test_migrate_pc_table;
         ] );
-      ( "trace_cache",
-        [
-          Alcotest.test_case "invalidate flushes + rebuilds" `Quick test_tc_invalidate_flushes;
-          Alcotest.test_case "migration invalidates" `Quick test_tc_migration_invalidates;
-          Alcotest.test_case "mid-trace trap invalidates" `Quick test_tc_trap_mid_trace_invalidates;
-        ] );
+      ( "interp_exit",
+        [ Alcotest.test_case "trap flushes pc + icount" `Quick test_trap_flushes_pc_and_icount ] );
       ("properties", qsuite);
     ]
