@@ -1,110 +1,22 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (run with no arguments for the full sweep, or name experiment
-   ids; `--list` shows them). `--bechamel` additionally runs wall-clock
-   microbenchmarks of the simulator's core primitives. `--perf` measures
-   host instructions/sec of the fast-path engine against the reference
-   engine on the NPB set and writes BENCH_3.json; with `--domains[=1,2,4]`
-   it instead sweeps the host-scaling curve (D replica machines on D
-   domains) and writes BENCH_6.json. `--serve` runs the open-loop serving
+   ids; `--list` shows them). `--perf` measures host instructions/sec of
+   the fast-path engine against the reference engine on the NPB set and
+   writes BENCH_3.json; with `--domains[=1,2,4]` it instead sweeps the
+   host-scaling curve (D replica machines on D domains) and writes
+   BENCH_6.json. `--serve` runs the open-loop serving
    latency sweep and writes BENCH_7.json. *)
 
 module H = Stramash_harness
 
 let usage () =
   Format.printf
-    "usage: main.exe [--list] [--bechamel] [--perf] [--perf --domains[=1,2,4]] [--placement] \
+    "usage: main.exe [--list] [--perf] [--perf --domains[=1,2,4]] [--placement] \
      [--serve] [EXPERIMENT-ID]...@.";
   Format.printf "experiments:@.";
   List.iter
     (fun e -> Format.printf "  %-10s %s@." e.H.Experiments.id e.H.Experiments.title)
     H.Experiments.all
-
-(* ---------- Bechamel microbenchmarks of simulator primitives ---------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let module Cache_config = Stramash_cache.Config in
-  let module Cache_sim = Stramash_cache.Cache_sim in
-  let module Layout = Stramash_mem.Layout in
-  let module Phys_mem = Stramash_mem.Phys_mem in
-  let module Rbtree = Stramash_kernel.Rbtree in
-  let module Node_id = Stramash_sim.Node_id in
-  let module Rng = Stramash_sim.Rng in
-  let module Kernel = Stramash_kernel.Kernel in
-  let module Page_table = Stramash_kernel.Page_table in
-  let module Pte = Stramash_kernel.Pte in
-  let cache = Cache_sim.create (Cache_config.default Layout.Shared) in
-  let rng = Rng.create ~seed:42L in
-  let phys = Phys_mem.create () in
-  let tree = Rbtree.create () in
-  for i = 0 to 4095 do
-    Rbtree.insert tree ~key:(i * 17) i
-  done;
-  (* warm page table for the walk benchmark *)
-  let kernel = Kernel.boot ~node:Node_id.X86 ~phys in
-  let pt_io =
-    {
-      Page_table.phys;
-      charge_read = ignore;
-      charge_write = ignore;
-      alloc_table = (fun () -> Kernel.alloc_table_page kernel);
-    }
-  in
-  let pt = Page_table.create ~isa:Node_id.X86 pt_io in
-  for page = 0 to 255 do
-    Page_table.map pt pt_io ~vaddr:(0x10000000 + (page * 4096)) ~frame:(page + 1) Pte.default_flags
-  done;
-  (* small interpreter loop for the dispatch benchmark *)
-  let interp_prog =
-    let module B = Stramash_isa.Builder in
-    let b = B.create () in
-    let acc = B.immi b 0 in
-    B.for_up_const b ~lo:0 ~hi:64 (fun i -> B.add_to b acc acc i);
-    Stramash_isa.Codegen.lower ~isa:Node_id.X86 (B.finish b)
-  in
-  let null_memio =
-    { Stramash_isa.Interp.load = (fun _ _ -> 0L); store = (fun _ _ _ -> ()); fetch = ignore }
-  in
-  (* fast-path primitives vs the reference engine *)
-  let cache_ref = Cache_sim.create (Cache_config.default Layout.Shared) in
-  Cache_sim.set_mode cache_ref Cache_sim.Reference;
-  let module Tlb = Stramash_kernel.Tlb in
-  let tlb = Tlb.create () in
-  Tlb.insert tlb ~asid:1 ~vpage:42 { Tlb.frame = 7; writable = true };
-  let counter = ref 0 in
-  [
-    Test.make ~name:"rng-next_int64" (Staged.stage (fun () -> ignore (Rng.next_int64 rng)));
-    Test.make ~name:"cache-l1-hit"
-      (Staged.stage (fun () ->
-           ignore (Cache_sim.access cache ~node:Node_id.X86 Cache_sim.Load ~paddr:4096)));
-    Test.make ~name:"cache-l1-hit-reference"
-      (Staged.stage (fun () ->
-           ignore (Cache_sim.access cache_ref ~node:Node_id.X86 Cache_sim.Load ~paddr:4096)));
-    Test.make ~name:"tlb-translate-hit"
-      (Staged.stage (fun () -> ignore (Tlb.translate tlb ~asid:1 ~vpage:42 ~write:true)));
-    Test.make ~name:"cache-stream"
-      (Staged.stage (fun () ->
-           incr counter;
-           let paddr = !counter * 64 land 0xFFFFFF in
-           ignore (Cache_sim.access cache ~node:Node_id.X86 Cache_sim.Load ~paddr)));
-    Test.make ~name:"phys-read_u64" (Staged.stage (fun () -> ignore (Phys_mem.read_u64 phys 8192)));
-    Test.make ~name:"rbtree-find"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (Rbtree.find tree ~key:(!counter * 17 mod (4096 * 17)))));
-    Test.make ~name:"rbtree-floor"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (Rbtree.find_floor tree ~key:(!counter land 65535))));
-    Test.make ~name:"pagetable-walk"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (Page_table.walk pt pt_io ~vaddr:(0x10000000 + (!counter land 255) * 4096))));
-    Test.make ~name:"interp-64-iter-loop"
-      (Staged.stage (fun () ->
-           let cpu = Stramash_isa.Interp.create interp_prog in
-           ignore (Stramash_isa.Interp.run cpu null_memio ~fuel:1000)));
-  ]
 
 (* ---------- `--perf`: fast-path vs reference instructions/sec ---------- *)
 
@@ -552,25 +464,6 @@ let run_serve () =
   close_out oc;
   Format.printf "  wrote BENCH_7.json@."
 
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  Format.printf "@.=== Bechamel primitive microbenchmarks ===@.";
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |] in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Format.printf "  %-24s %10.1f ns/op@." name est
-          | Some [] | None -> Format.printf "  %-24s (no estimate)@." name)
-        analyzed)
-    (bechamel_tests ())
-
 let () =
   (* The interpreter's Int64 register file allocates on every write; a
      larger minor heap keeps that churn out of the collector's way. *)
@@ -602,8 +495,8 @@ let () =
     in
     (match ids with
     | []
-      when List.mem "--perf" flags || List.mem "--bechamel" flags
-           || List.mem "--placement" flags || List.mem "--serve" flags || domains_list <> None ->
+      when List.mem "--perf" flags || List.mem "--placement" flags
+           || List.mem "--serve" flags || domains_list <> None ->
         ()
     | [] -> H.Experiments.run_all fmt
     | ids ->
@@ -622,6 +515,5 @@ let () =
     | Some domains -> run_perf6 domains
     | None -> if List.mem "--perf" flags then run_perf ());
     if List.mem "--placement" flags then run_placement ();
-    if List.mem "--serve" flags then run_serve ();
-    if List.mem "--bechamel" flags then run_bechamel ()
+    if List.mem "--serve" flags then run_serve ()
   end

@@ -151,11 +151,19 @@ let check_writable = function
           Format.eprintf "stramash_cli: cannot write output file: %s@." msg;
           false)
 
+let usage_error = H.Campaign.(exit_code Unknown_bench)
+
+let filter_without_sink = "--trace-filter needs --trace or --metrics-json"
+
 (* Install a tracer for the duration of [f] when either output flag is
-   given, then render the sinks. Tracing stays completely off otherwise. *)
+   given, then render the sinks. Tracing stays completely off otherwise;
+   a filter with no sink to filter is a usage error, not a silent no-op. *)
 let run_with_obs (trace_file, metrics_file, filter) ?(extra = fun (_ : Obs.Snapshot.t) -> ())
     ?(fastpath = fun () -> []) f =
   match (trace_file, metrics_file) with
+  | None, None when filter <> None ->
+      Format.eprintf "stramash_cli: %s@." filter_without_sink;
+      usage_error
   | None, None -> f ()
   | _ when not (check_writable trace_file && check_writable metrics_file) -> 1
   | _ ->
@@ -347,7 +355,6 @@ let futex_cmd =
    installed or a possibly minutes-long run starts. *)
 
 let ( let* ) = Result.bind
-let usage_error = H.Campaign.(exit_code Unknown_bench)
 
 let seed_arg default doc =
   Arg.(value & opt int64 default & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
@@ -423,9 +430,13 @@ let campaign_cmd ~name ~doc ~seed ~stamp
         H.Campaign.exit_code
           (run fmt cfg ~on_metrics:(fun ~label reg -> registries := (label, reg) :: !registries)))
   in
-  let soaked s cfg (cells, domains, json) (trace_file, metrics_file, _) =
+  let soaked s cfg (cells, domains, json) (trace_file, metrics_file, filter) =
     if cells < 1 || domains < 1 then begin
       Format.eprintf "%s: --soak and --domains must be >= 1@." name;
+      usage_error
+    end
+    else if trace_file = None && metrics_file = None && filter <> None then begin
+      Format.eprintf "%s: %s@." name filter_without_sink;
       usage_error
     end
     else if trace_file <> None || metrics_file <> None then begin

@@ -9,6 +9,11 @@ module Fault = Stramash_fault_inject.Fault
 module Plan = Stramash_fault_inject.Plan
 module Trace = Stramash_obs.Trace
 
+(* A transient remote PTE read failure costs this much before the retry,
+   and the walk gives up with [Walk_failed] after this many attempts. *)
+let walk_retry_cycles = Stramash_sim.Cycles.of_ns 600.0
+let walk_max_attempts = 3
+
 (* The io's allocator must never fire on read-only walks; owner is
    irrelevant there, and install_leaf never allocates by construction. *)
 let io env ~actor =
@@ -93,7 +98,6 @@ let walk_checked env ~actor ~owner_mm ~vaddr ?inject () =
             ~op:"request" ()
         else Trace.null
       in
-      let cfg = Plan.config plan in
       (* In the two-node system the table owner is always the other
          kernel: its health absorbs walk outcomes, and a slow-down
          window on it stretches the coherent reads the walk issues. *)
@@ -101,9 +105,9 @@ let walk_checked env ~actor ~owner_mm ~vaddr ?inject () =
       let rec attempt_walk attempt burned =
         if Plan.walk_read_faulted plan then begin
           Plan.observe_failure plan ~peer ~now:(Meter.get meter);
-          let pay = cfg.Plan.walk_retry_cycles in
+          let pay = walk_retry_cycles in
           Meter.add (Env.meter env actor) pay;
-          if attempt + 1 >= cfg.Plan.walk_max_attempts then
+          if attempt + 1 >= walk_max_attempts then
             Error (Fault.Walk_failed { vaddr; attempts = attempt + 1 })
           else begin
             Plan.note_walk_retry plan;

@@ -359,6 +359,9 @@ let remote_fault t ~proc ~node ~mm ~vaddr ~writable =
     result
   end
 
+(* Extra cost of one message-based (Popcorn-style) walk while degraded. *)
+let degraded_walk_penalty_cycles = Stramash_sim.Cycles.of_us 3.0
+
 (* Popcorn-style degraded mode (the fused fast path's fallback while a
    peer is crash-stopped): the origin kernel is gone, so the survivor can
    touch neither its VMA tree nor its page table. Permissions come from
@@ -388,11 +391,7 @@ let degraded_fault t dt ~proc ~node ~vaddr ~write =
           write_protect_fault t ~proc ~node ~vaddr ~write ~flags;
           Ok ()
       | None -> (
-          let penalty =
-            match t.inject with
-            | Some p -> Plan.degraded_walk_penalty_cycles p
-            | None -> 0
-          in
+          let penalty = if Option.is_some t.inject then degraded_walk_penalty_cycles else 0 in
           Meter.add meter penalty;
           Msg_layer.record_async t.msg ~label:"degraded_walk";
           t.degraded_walks <- t.degraded_walks + 1;
@@ -500,9 +499,7 @@ let handle_fault_exn t ~proc ~node ~vaddr ~write =
 (* --- crash-stop: death, detection, restart ------------------------------ *)
 
 let detection_latency t =
-  match t.inject with
-  | Some p -> Plan.heartbeat_interval_cycles p * Plan.heartbeat_miss_threshold p
-  | None -> 0
+  if Option.is_some t.inject then Stramash_interconnect.Heartbeat.detection_latency else 0
 
 (* Crash a node at a quantum boundary (kernel entries are serialised, so
    every structure is quiescent). Order matters: break the dead node's

@@ -22,13 +22,7 @@ let create ?(futex_optimized = true) ?inject env () =
     (* Only chaos schedules attach the watchdog: plain runs carry no
        heartbeat traffic and stay bit-identical to pre-chaos builds. *)
     match inject with
-    | Some plan when Plan.chaos_armed plan ->
-        Some
-          (Stramash_interconnect.Heartbeat.create
-             ~readmit_beats:(Plan.heartbeat_readmit_beats plan)
-             ~interval:(Plan.heartbeat_interval_cycles plan)
-             ~miss_threshold:(Plan.heartbeat_miss_threshold plan)
-             ())
+    | Some plan when Plan.chaos_armed plan -> Some (Stramash_interconnect.Heartbeat.create ())
     | _ -> None
   in
   let msg = Msg_layer.create Msg_layer.Shm env ?inject ?heartbeat () in

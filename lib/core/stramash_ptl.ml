@@ -6,6 +6,12 @@ module Fault = Stramash_fault_inject.Fault
 module Plan = Stramash_fault_inject.Plan
 module Trace = Stramash_obs.Trace
 
+(* A timed-out PTL acquire backs off this long before retrying (also the
+   nominal cost of an uncontended acquire the health score compares
+   against), and gives up with [Lock_timeout] after this many attempts. *)
+let ptl_backoff_cycles = Stramash_sim.Cycles.of_us 1.0
+let ptl_max_attempts = 4
+
 (* Ownership is a fencing token, not a bare node id: the epoch is the
    holder's liveness epoch at acquisition time. Every crash and every
    restart bumps the node's epoch, so a token minted before a crash can
@@ -100,15 +106,14 @@ let try_with_lock t ~actor ?inject f =
             ~op:"contend" ()
         else Trace.null
       in
-      let cfg = Plan.config plan in
       let peer = Node_id.other actor in
       let rec acquire attempt burned =
         let now = Meter.get meter in
         if Plan.ptl_acquire_timed_out plan then begin
           Plan.observe_failure plan ~peer ~now;
-          let pay = cfg.Plan.ptl_backoff_cycles in
+          let pay = ptl_backoff_cycles in
           Meter.add (Env.meter t.env actor) pay;
-          if attempt + 1 >= cfg.Plan.ptl_max_attempts then
+          if attempt + 1 >= ptl_max_attempts then
             Error (Fault.Lock_timeout { lock_addr = t.lock_addr; attempts = attempt + 1 })
           else acquire (attempt + 1) (burned + pay)
         end
@@ -118,10 +123,10 @@ let try_with_lock t ~actor ?inject f =
              PTL: the actor spins that long before its CAS lands. *)
           let stall = Plan.ptl_stall_extra plan ~now in
           if stall > 0 then Meter.add meter stall;
-          let acquire_cycles = burned + stall + cfg.Plan.ptl_backoff_cycles in
+          let acquire_cycles = burned + stall + ptl_backoff_cycles in
           Plan.record_op plan ~op:"ptl_acquire" ~cycles:acquire_cycles;
           Plan.observe_service plan ~peer ~cycles:acquire_cycles
-            ~nominal:cfg.Plan.ptl_backoff_cycles ~now:(Meter.get meter);
+            ~nominal:ptl_backoff_cycles ~now:(Meter.get meter);
           Ok (with_lock t ~actor f)
         end
       in

@@ -15,14 +15,11 @@ let state_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-type params = {
-  alpha : float;  (* EWMA smoothing factor, (0, 1] *)
-  trip_score : float;  (* breaker opens when score falls below this *)
-  probe_interval : int;  (* cycles between half-open probes while tripped *)
-  readmit_probes : int;  (* consecutive good probes before closing *)
-  backoff_jitter : float;  (* +/- fraction applied to each backoff *)
-  adaptive_timeout_mult : float;  (* timeout = mult * RTT EWMA *)
-}
+let alpha = 0.2  (* EWMA smoothing factor, (0, 1] *)
+let trip_score = 0.55  (* breaker opens when score falls below this *)
+let readmit_probes = 3  (* consecutive good probes before closing *)
+let backoff_jitter = 0.25  (* +/- fraction applied to each backoff *)
+let adaptive_timeout_mult = 4.0  (* timeout = mult * RTT EWMA *)
 
 type peer = {
   node : Node_id.t;
@@ -43,7 +40,7 @@ type peer = {
 }
 
 type t = {
-  params : params;
+  probe_interval : int;  (* cycles between half-open probes while tripped *)
   rng : Rng.t;
   metrics : Metrics.registry;
   peers : peer array;
@@ -51,9 +48,7 @@ type t = {
 
 let mark op = Stramash_obs.Trace.instant ~subsys:"fault" ~op ()
 
-let create ~rng ~metrics params =
-  if params.alpha <= 0.0 || params.alpha > 1.0 then
-    invalid_arg "Health: alpha must be in (0, 1]";
+let create ~rng ~metrics ~probe_interval =
   let peers =
     Array.of_list
       (List.map
@@ -72,7 +67,7 @@ let create ~rng ~metrics params =
            })
          Node_id.all)
   in
-  { params; rng; metrics; peers }
+  { probe_interval; rng; metrics; peers }
 
 let peer t node = t.peers.(Node_id.index node)
 
@@ -87,7 +82,7 @@ let msg_rtt_ewma t ~peer:node = (peer t node).msg_rtt_ewma
 
 (* The re-admission bar sits strictly above the trip bar: a peer that has
    barely recovered to trip_score is not re-trusted (hysteresis). *)
-let readmit_score t = Float.min 0.95 (t.params.trip_score +. 0.2)
+let readmit_score = Float.min 0.95 (trip_score +. 0.2)
 
 let publish t p =
   Metrics.set t.metrics p.score_key (int_of_float (score_of p *. 1000.0));
@@ -95,7 +90,7 @@ let publish t p =
     (match p.state with Closed -> 0 | Open -> 1 | Half_open -> 2)
 
 let trip_if_unhealthy t p ~now =
-  if p.state = Closed && score_of p < t.params.trip_score then begin
+  if p.state = Closed && score_of p < trip_score then begin
     p.state <- Open;
     p.probe_successes <- 0;
     (* First probe waits a full interval from the trip point. *)
@@ -104,33 +99,30 @@ let trip_if_unhealthy t p ~now =
     mark "breaker_trip"
   end
 
-let observe_ratio t p ~cycles ~nominal =
+let observe_ratio p ~cycles ~nominal =
   let nominal = Float.max 1.0 (float_of_int nominal) in
   let ratio = float_of_int (max 0 cycles) /. nominal in
-  let a = t.params.alpha in
-  p.ratio_ewma <- ((1.0 -. a) *. p.ratio_ewma) +. (a *. ratio);
-  p.fail_ewma <- (1.0 -. a) *. p.fail_ewma
+  p.ratio_ewma <- ((1.0 -. alpha) *. p.ratio_ewma) +. (alpha *. ratio);
+  p.fail_ewma <- (1.0 -. alpha) *. p.fail_ewma
 
 let observe_service t ~peer:node ~cycles ~nominal ~now =
   let p = peer t node in
-  observe_ratio t p ~cycles ~nominal;
+  observe_ratio p ~cycles ~nominal;
   trip_if_unhealthy t p ~now;
   publish t p
 
 let observe_msg_rtt t ~peer:node ~cycles ~nominal ~now =
   let p = peer t node in
-  let a = t.params.alpha in
   let v = float_of_int (max 0 cycles) in
   p.msg_rtt_ewma <-
-    (if p.msg_rtt_ewma <= 0.0 then v else ((1.0 -. a) *. p.msg_rtt_ewma) +. (a *. v));
-  observe_ratio t p ~cycles ~nominal;
+    (if p.msg_rtt_ewma <= 0.0 then v else ((1.0 -. alpha) *. p.msg_rtt_ewma) +. (alpha *. v));
+  observe_ratio p ~cycles ~nominal;
   trip_if_unhealthy t p ~now;
   publish t p
 
 let observe_failure t ~peer:node ~now =
   let p = peer t node in
-  let a = t.params.alpha in
-  p.fail_ewma <- ((1.0 -. a) *. p.fail_ewma) +. a;
+  p.fail_ewma <- ((1.0 -. alpha) *. p.fail_ewma) +. alpha;
   Metrics.incr t.metrics "gray.observed_failures";
   trip_if_unhealthy t p ~now;
   publish t p
@@ -144,7 +136,7 @@ let route t ~peer:node ~now =
   match p.state with
   | Closed -> `Fused
   | Open | Half_open ->
-      if now - p.last_probe_at >= t.params.probe_interval then begin
+      if now - p.last_probe_at >= t.probe_interval then begin
         p.last_probe_at <- now;
         Metrics.incr t.metrics "gray.breaker_probes";
         mark "breaker_probe";
@@ -159,9 +151,9 @@ let route t ~peer:node ~now =
 let probe_done t ~peer:node ~now:_ =
   let p = peer t node in
   if p.state <> Closed then begin
-    if score_of p >= readmit_score t then begin
+    if score_of p >= readmit_score then begin
       p.probe_successes <- p.probe_successes + 1;
-      if p.probe_successes >= t.params.readmit_probes then begin
+      if p.probe_successes >= readmit_probes then begin
         p.state <- Closed;
         p.probe_successes <- 0;
         Metrics.incr t.metrics "gray.breaker_readmissions";
@@ -184,7 +176,7 @@ let adaptive_timeout t ~peer:node ~floor ~cap ~default =
   let p = peer t node in
   if p.msg_rtt_ewma <= 0.0 then default
   else
-    let v = int_of_float (t.params.adaptive_timeout_mult *. p.msg_rtt_ewma) in
+    let v = int_of_float (adaptive_timeout_mult *. p.msg_rtt_ewma) in
     max floor (min cap v)
 
 (* Jittered exponential backoff: adaptive timeout plus base * 2^attempt,
@@ -195,11 +187,8 @@ let backoff t ~peer:node ~attempt ~base ~floor ~cap ~default =
   let timeout = adaptive_timeout t ~peer:node ~floor ~cap ~default in
   let exp = if attempt >= 16 then 16 else attempt in
   let raw = timeout + (base * (1 lsl exp)) in
-  let j = t.params.backoff_jitter in
-  if j <= 0.0 then raw
-  else
-    let f = Rng.float t.rng (2.0 *. j) -. j in
-    max 0 (raw + int_of_float (float_of_int raw *. f))
+  let f = Rng.float t.rng (2.0 *. backoff_jitter) -. backoff_jitter in
+  max 0 (raw + int_of_float (float_of_int raw *. f))
 
 let report fmt t =
   Array.iter

@@ -6,11 +6,11 @@
     message-RTT EWMA that drives the adaptive loss-detection timeout.
 
     [score = (1 - fail_ewma) * 1 / max 1 ratio_ewma] lives in [0, 1]; a
-    Closed breaker trips Open when the score falls below [trip_score].
+    Closed breaker trips Open when the score falls below {!trip_score}.
     While tripped, {!route} diverts fused-path work to the degraded
     message-walk path, releasing one paced [`Probe] per
     [probe_interval]; {!probe_done} judges each probe against a raised
-    hysteresis bar ([trip_score + 0.2]) and only [readmit_probes]
+    hysteresis bar ({!readmit_score}) and only {!readmit_probes}
     consecutive passes re-close the breaker, so a recovering peer is
     never re-trusted on a single good sample.
 
@@ -21,26 +21,30 @@ type state = Closed | Open | Half_open
 
 val state_to_string : state -> string
 
-type params = {
-  alpha : float;  (** EWMA smoothing factor, must lie in (0, 1] *)
-  trip_score : float;
-  probe_interval : int;
-  readmit_probes : int;
-  backoff_jitter : float;
-  adaptive_timeout_mult : float;
-}
+val trip_score : float
+(** A Closed breaker opens when the score falls below this: 0.55. *)
+
+val readmit_probes : int
+(** Consecutive passing probes that re-close a tripped breaker: 3. *)
+
+val backoff_jitter : float
+(** +/- fraction spread applied to each retry backoff: 0.25. *)
+
+val adaptive_timeout_mult : float
+(** Adaptive loss-detection timeout = this x message-RTT EWMA: 4.0. *)
 
 type t
 
 val create :
-  rng:Stramash_sim.Rng.t -> metrics:Stramash_sim.Metrics.registry -> params -> t
-(** Counters ("gray.*") land in [metrics].
-    @raise Invalid_argument when [alpha] is outside (0, 1]. *)
+  rng:Stramash_sim.Rng.t -> metrics:Stramash_sim.Metrics.registry -> probe_interval:int -> t
+(** Counters ("gray.*") land in [metrics]; a tripped breaker releases one
+    probe per [probe_interval] cycles. *)
 
 val score : t -> peer:Stramash_sim.Node_id.t -> float
 val breaker_state : t -> peer:Stramash_sim.Node_id.t -> state
 val msg_rtt_ewma : t -> peer:Stramash_sim.Node_id.t -> float
-val readmit_score : t -> float
+val readmit_score : float
+(** The hysteresis bar a probe must clear: [min 0.95 (trip_score + 0.2)]. *)
 
 val observe_msg_rtt :
   t -> peer:Stramash_sim.Node_id.t -> cycles:int -> nominal:int -> now:int -> unit

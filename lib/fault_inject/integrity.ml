@@ -100,7 +100,6 @@ type t = {
   seals : (int, seal) Hashtbl.t;  (* paddr of page base -> seal *)
   mutable roster : int array;  (* sorted tracked paddrs *)
   scrub : bool;
-  windows : (int * int) list;  (* (start, len); empty = always on *)
   interval : int;
   budget : int;
   mutable cursor : int;
@@ -108,7 +107,7 @@ type t = {
   mutable max_exposure : int;
 }
 
-let create ~rng ~metrics ~flips ~scrub ~windows ~interval ~budget =
+let create ~rng ~metrics ~flips ~scrub ~interval ~budget =
   {
     rng;
     metrics;
@@ -119,7 +118,6 @@ let create ~rng ~metrics ~flips ~scrub ~windows ~interval ~budget =
     seals = Hashtbl.create 64;
     roster = [||];
     scrub;
-    windows;
     interval = max 1 interval;
     budget = max 1 budget;
     cursor = 0;
@@ -287,15 +285,11 @@ let run_injector t phys ~now =
 
 (* ---------- scrubbing ---------- *)
 
-let in_window t ~now =
-  t.windows = [] || List.exists (fun (s, l) -> now >= s && now < s + l) t.windows
-
 let run_scrub t phys ~now =
   if
     (not t.scrub)
     || Array.length t.roster = 0
     || now - t.last_sweep < t.interval
-    || not (in_window t ~now)
   then ([], 0, 0)
   else begin
     t.last_sweep <- now;

@@ -57,13 +57,11 @@ val create :
   metrics:Stramash_sim.Metrics.registry ->
   flips:(int * int * int) list ->
   scrub:bool ->
-  windows:(int * int) list ->
   interval:int ->
   budget:int ->
   t
-(** [flips] are [(at_cycle, node_index, bits)] injection events;
-    [windows] are [(start, len)] scrub-active spans (empty = always on);
-    the scrubber verifies at most [budget] pages per sweep, sweeping no
+(** [flips] are [(at_cycle, node_index, bits)] injection events; the
+    scrubber verifies at most [budget] pages per sweep, sweeping no
     more than once per [interval] cycles. Counters land in [metrics]
     under [corruption.*] and [scrub.*]. *)
 
@@ -89,7 +87,7 @@ val check_pair :
 val tick : t -> Stramash_mem.Phys_mem.t -> now:int -> tick_summary
 (** One quantum-boundary step: land every due injection event (events
     with no eligible victim stay queued and retry), then run a scrub
-    sweep if the interval has elapsed and a window is open. The caller
+    sweep if the interval has elapsed. The caller
     charges {!scan_cost_cycles} per scanned page and the repair
     transfer costs to the simulated clocks. *)
 

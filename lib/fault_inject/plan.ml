@@ -7,52 +7,31 @@ type flap_burst = { fl_start : int; fl_len : int; fl_drop_rate : float; fl_delay
 type ptl_stall = { st_start : int; st_len : int; st_stall_cycles : int }
 
 type bit_flip = { bf_at : int; bf_node : int; bf_bits : int }
-type scrub_window = { sw_start : int; sw_len : int }
 
 type config = {
   (* message layer *)
   msg_drop_rate : float;
   msg_delay_rate : float;
-  msg_delay_cycles : int;
-  msg_timeout_cycles : int;
-  msg_backoff_base_cycles : int;
-  msg_max_attempts : int;
   (* IPI *)
   ipi_loss_rate : float;
   ipi_jitter_rate : float;
-  ipi_jitter_cycles : int;
-  ipi_timeout_cycles : int;
   (* remote page-table walks *)
   walk_fail_rate : float;
-  walk_retry_cycles : int;
-  walk_max_attempts : int;
   (* Stramash-PTL *)
   ptl_timeout_rate : float;
-  ptl_backoff_cycles : int;
-  ptl_max_attempts : int;
   (* frame allocator *)
   alloc_fail_rate : float;
   (* crash-stop node failures *)
   node_events : node_event list;
-  heartbeat_interval_cycles : int;
-  heartbeat_miss_threshold : int;
-  degraded_walk_penalty_cycles : int;
   (* gray failures *)
   gray_slow : gray_window list;
   gray_flaps : flap_burst list;
   gray_ptl_stalls : ptl_stall list;
   msg_dup_rate : float;
   msg_reorder_rate : float;
-  msg_reorder_cycles : int;
   (* health scoring / circuit breaker *)
   health_enabled : bool;
-  health_alpha : float;
-  breaker_trip_score : float;
   breaker_probe_interval : int;
-  breaker_readmit_probes : int;
-  backoff_jitter : float;
-  adaptive_timeout_mult : float;
-  heartbeat_readmit_beats : int;
   (* silent data corruption *)
   corrupt_flips : bit_flip list;
   corrupt_msg_rate : float;
@@ -60,7 +39,6 @@ type config = {
   corrupt_ckpt_rate : float;
   corrupt_pte_rate : float;
   scrub_enabled : bool;
-  scrub_windows : scrub_window list;
   scrub_interval_cycles : int;
   scrub_pages_per_epoch : int;
 }
@@ -69,49 +47,36 @@ let default =
   {
     msg_drop_rate = 0.0;
     msg_delay_rate = 0.0;
-    msg_delay_cycles = Cycles.of_us 5.0;
-    msg_timeout_cycles = Cycles.of_us 20.0;
-    msg_backoff_base_cycles = Cycles.of_us 2.0;
-    msg_max_attempts = 6;
     ipi_loss_rate = 0.0;
     ipi_jitter_rate = 0.0;
-    ipi_jitter_cycles = Cycles.of_us 10.0;
-    ipi_timeout_cycles = Cycles.of_us 50.0;
     walk_fail_rate = 0.0;
-    walk_retry_cycles = Cycles.of_ns 600.0;
-    walk_max_attempts = 3;
     ptl_timeout_rate = 0.0;
-    ptl_backoff_cycles = Cycles.of_us 1.0;
-    ptl_max_attempts = 4;
     alloc_fail_rate = 0.0;
     node_events = [];
-    heartbeat_interval_cycles = Cycles.of_us 10.0;
-    heartbeat_miss_threshold = 3;
-    degraded_walk_penalty_cycles = Cycles.of_us 3.0;
     gray_slow = [];
     gray_flaps = [];
     gray_ptl_stalls = [];
     msg_dup_rate = 0.0;
     msg_reorder_rate = 0.0;
-    msg_reorder_cycles = Cycles.of_us 1.0;
     health_enabled = true;
-    health_alpha = 0.2;
-    breaker_trip_score = 0.55;
     breaker_probe_interval = Cycles.of_us 500.0;
-    breaker_readmit_probes = 3;
-    backoff_jitter = 0.25;
-    adaptive_timeout_mult = 4.0;
-    heartbeat_readmit_beats = 2;
     corrupt_flips = [];
     corrupt_msg_rate = 0.0;
     corrupt_msg_truncate_rate = 0.0;
     corrupt_ckpt_rate = 0.0;
     corrupt_pte_rate = 0.0;
     scrub_enabled = false;
-    scrub_windows = [];
     scrub_interval_cycles = Cycles.of_us 50.0;
     scrub_pages_per_epoch = 8;
   }
+
+(* Fixed parameters of the message and IPI fault models. *)
+let msg_delay_cycles = Cycles.of_us 5.0  (* one injected delivery delay spike *)
+let msg_timeout_cycles = Cycles.of_us 20.0  (* sender-side loss-detection timeout *)
+let msg_backoff_base_cycles = Cycles.of_us 2.0  (* doubles per retransmit *)
+let msg_max_attempts = 6  (* retries before escalating to the reliable path *)
+let msg_reorder_cycles = Cycles.of_us 1.0  (* one injected queue reordering *)
+let ipi_jitter_cycles = Cycles.of_us 10.0  (* one injected IPI jitter spike *)
 
 type t = {
   config : config;
@@ -189,38 +154,7 @@ let validate config =
     rate "alloc_fail_rate" config.alloc_fail_rate;
     rate "msg_dup_rate" config.msg_dup_rate;
     rate "msg_reorder_rate" config.msg_reorder_rate;
-    non_neg "msg_delay_cycles" config.msg_delay_cycles;
-    non_neg "msg_timeout_cycles" config.msg_timeout_cycles;
-    non_neg "msg_backoff_base_cycles" config.msg_backoff_base_cycles;
-    non_neg "ipi_jitter_cycles" config.ipi_jitter_cycles;
-    non_neg "ipi_timeout_cycles" config.ipi_timeout_cycles;
-    non_neg "walk_retry_cycles" config.walk_retry_cycles;
-    non_neg "ptl_backoff_cycles" config.ptl_backoff_cycles;
-    non_neg "degraded_walk_penalty_cycles" config.degraded_walk_penalty_cycles;
-    non_neg "msg_reorder_cycles" config.msg_reorder_cycles;
-    at_least "msg_max_attempts" 1 config.msg_max_attempts;
-    at_least "walk_max_attempts" 1 config.walk_max_attempts;
-    at_least "ptl_max_attempts" 1 config.ptl_max_attempts;
-    at_least "heartbeat_interval_cycles" 1 config.heartbeat_interval_cycles;
-    at_least "heartbeat_miss_threshold" 1 config.heartbeat_miss_threshold;
-    at_least "heartbeat_readmit_beats" 1 config.heartbeat_readmit_beats;
     at_least "breaker_probe_interval" 1 config.breaker_probe_interval;
-    at_least "breaker_readmit_probes" 1 config.breaker_readmit_probes;
-    check
-      (config.health_alpha > 0.0 && config.health_alpha <= 1.0)
-      (Printf.sprintf "Plan: health_alpha must be in (0, 1] (got %g)" config.health_alpha);
-    check
-      (config.breaker_trip_score > 0.0 && config.breaker_trip_score < 1.0)
-      (Printf.sprintf "Plan: breaker_trip_score must be in (0, 1) (got %g)"
-         config.breaker_trip_score);
-    check
-      (config.backoff_jitter >= 0.0 && config.backoff_jitter < 1.0)
-      (Printf.sprintf "Plan: backoff_jitter must be in [0, 1) (got %g)"
-         config.backoff_jitter);
-    check
-      (config.adaptive_timeout_mult >= 1.0)
-      (Printf.sprintf "Plan: adaptive_timeout_mult must be >= 1 (got %g)"
-         config.adaptive_timeout_mult);
     (try ignore (validate_events config.node_events)
      with Invalid_argument m -> failwith m);
     List.iter
@@ -275,30 +209,20 @@ let validate config =
           (Printf.sprintf "Plan: corrupt_flips node index must be in [0, %d) (got %d)" nnodes
              bf.bf_node))
       config.corrupt_flips;
-    List.iter
-      (fun sw ->
-        non_neg "scrub_windows start" sw.sw_start;
-        at_least "scrub_windows length" 1 sw.sw_len)
-      config.scrub_windows;
-    (let sorted =
-       List.sort (fun a b -> compare a.sw_start b.sw_start) config.scrub_windows
-     in
-     let rec overlap = function
-       | a :: (b :: _ as rest) ->
-           check (a.sw_start + a.sw_len <= b.sw_start) "Plan: overlapping scrub_windows";
-           overlap rest
-       | _ -> ()
-     in
-     overlap sorted);
     at_least "scrub_interval_cycles" 1 config.scrub_interval_cycles;
     at_least "scrub_pages_per_epoch" 1 config.scrub_pages_per_epoch;
     Ok ()
   with Failure m -> Error m
 
-(* A structural fingerprint of the whole config, echoed in campaign JSON
-   alongside the seed so any output can be traced back to its exact
-   parameters. Stable across runs of one binary. *)
-let config_fingerprint (config : config) = Hashtbl.hash_param 256 256 config
+(* A digest of the whole config, echoed in campaign JSON alongside the
+   seed so any output can be traced back to its exact parameters. The
+   marshalled bytes cover every list entry (Hashtbl.hash stops after a
+   bounded number of values, so long flip or window schedules that
+   differed only at the tail collided). Cut to 52 bits so the value is
+   exact as a JSON number. Stable across runs of one binary. *)
+let config_fingerprint (config : config) =
+  let hex = Digest.to_hex (Digest.string (Marshal.to_string config [])) in
+  int_of_string ("0x" ^ String.sub hex 0 13)
 
 let gray_armed_config config =
   config.gray_slow <> [] || config.gray_flaps <> []
@@ -341,14 +265,7 @@ let create ~seed config =
     if gray_on && config.health_enabled then
       Some
         (Health.create ~rng:health_rng ~metrics
-           {
-             Health.alpha = config.health_alpha;
-             trip_score = config.breaker_trip_score;
-             probe_interval = config.breaker_probe_interval;
-             readmit_probes = config.breaker_readmit_probes;
-             backoff_jitter = config.backoff_jitter;
-             adaptive_timeout_mult = config.adaptive_timeout_mult;
-           })
+           ~probe_interval:config.breaker_probe_interval)
     else None
   in
   let ops =
@@ -368,7 +285,6 @@ let create ~seed config =
         (Integrity.create ~rng:corrupt_rng ~metrics
            ~flips:(List.map (fun bf -> (bf.bf_at, bf.bf_node, bf.bf_bits)) config.corrupt_flips)
            ~scrub:config.scrub_enabled
-           ~windows:(List.map (fun sw -> (sw.sw_start, sw.sw_len)) config.scrub_windows)
            ~interval:config.scrub_interval_cycles ~budget:config.scrub_pages_per_epoch)
     else None
   in
@@ -392,9 +308,7 @@ let create ~seed config =
     integrity;
   }
 
-let config t = t.config
 let metrics t = t.metrics
-let recovery_histogram t = t.recovery
 
 (* Guard on the rate before drawing: a zero-rate site consumes no RNG
    state, so enabling faults at one site leaves the others' decision
@@ -417,17 +331,17 @@ let msg_attempt t =
   else if hit t.msg_rng t.config.msg_delay_rate then begin
     Metrics.incr t.metrics "msg.delay_spikes";
     mark "msg_delay";
-    `Deliver t.config.msg_delay_cycles
+    `Deliver msg_delay_cycles
   end
   else `Deliver 0
 
-let msg_backoff t ~attempt =
+let msg_backoff ~attempt =
   (* Sender burns the full timeout discovering the loss, then backs off
      exponentially before retransmitting. *)
   let exp = if attempt >= 16 then 16 else attempt in
-  t.config.msg_timeout_cycles + (t.config.msg_backoff_base_cycles * (1 lsl exp))
+  msg_timeout_cycles + (msg_backoff_base_cycles * (1 lsl exp))
 
-let msg_attempts_exhausted t ~attempt = attempt >= t.config.msg_max_attempts
+let msg_attempts_exhausted ~attempt = attempt >= msg_max_attempts
 
 let note_msg_retry t = Metrics.incr t.metrics "msg.retries"
 let note_msg_escalation t =
@@ -445,11 +359,10 @@ let ipi_delivery t =
   else if hit t.ipi_rng t.config.ipi_jitter_rate then begin
     Metrics.incr t.metrics "ipi.jitter_spikes";
     mark "ipi_jitter";
-    `Jitter t.config.ipi_jitter_cycles
+    `Jitter ipi_jitter_cycles
   end
   else `On_time
 
-let ipi_timeout_cycles t = t.config.ipi_timeout_cycles
 
 (* --- remote walker ------------------------------------------------------ *)
 
@@ -495,10 +408,6 @@ let record_recovery t ~cycles =
 
 let node_events t = t.config.node_events
 let chaos_armed t = t.config.node_events <> []
-let heartbeat_interval_cycles t = t.config.heartbeat_interval_cycles
-let heartbeat_miss_threshold t = t.config.heartbeat_miss_threshold
-let heartbeat_readmit_beats t = t.config.heartbeat_readmit_beats
-let degraded_walk_penalty_cycles t = t.config.degraded_walk_penalty_cycles
 
 let note_detection_latency t ~cycles =
   Metrics.incr t.metrics "chaos.detections";
@@ -599,7 +508,7 @@ let msg_reorder_extra t =
   if hit t.gray_rng t.config.msg_reorder_rate then begin
     Metrics.incr t.metrics "gray.msg_reorders";
     mark "msg_reorder";
-    t.config.msg_reorder_cycles
+    msg_reorder_cycles
   end
   else 0
 
@@ -645,12 +554,11 @@ let note_breaker_fallback t =
 
 let msg_backoff_for t ~peer ~attempt =
   match t.health with
-  | None -> msg_backoff t ~attempt
+  | None -> msg_backoff ~attempt
   | Some h ->
-      Health.backoff h ~peer ~attempt ~base:t.config.msg_backoff_base_cycles
-        ~floor:t.config.msg_backoff_base_cycles
-        ~cap:(2 * t.config.msg_timeout_cycles)
-        ~default:t.config.msg_timeout_cycles
+      Health.backoff h ~peer ~attempt ~base:msg_backoff_base_cycles
+        ~floor:msg_backoff_base_cycles ~cap:(2 * msg_timeout_cycles)
+        ~default:msg_timeout_cycles
 
 (* --- silent data corruption --------------------------------------------- *)
 

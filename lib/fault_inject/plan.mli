@@ -49,61 +49,38 @@ type bit_flip = {
           corruption of an index traps at the MMU and is not an SDC) *)
 }
 
-type scrub_window = {
-  sw_start : int;
-  sw_len : int;  (** span of wall cycles the background scrubber is active *)
-}
-
 type config = {
   msg_drop_rate : float;  (** probability a ring/TCP message attempt is dropped *)
   msg_delay_rate : float;  (** probability of a delivery delay spike *)
-  msg_delay_cycles : int;
-  msg_timeout_cycles : int;  (** sender-side loss-detection timeout *)
-  msg_backoff_base_cycles : int;
-  msg_max_attempts : int;  (** retries before escalating to the reliable path *)
   ipi_loss_rate : float;
   ipi_jitter_rate : float;
-  ipi_jitter_cycles : int;
-  ipi_timeout_cycles : int;  (** receiver falls back to polling after this *)
   walk_fail_rate : float;  (** transient remote PTE read failure *)
-  walk_retry_cycles : int;
-  walk_max_attempts : int;
   ptl_timeout_rate : float;
-  ptl_backoff_cycles : int;
-  ptl_max_attempts : int;
   alloc_fail_rate : float;  (** simulated frame-allocator exhaustion *)
   node_events : node_event list;  (** crash-stop kill/restart schedule *)
-  heartbeat_interval_cycles : int;
-  heartbeat_miss_threshold : int;  (** missed beats before a peer is declared dead *)
-  degraded_walk_penalty_cycles : int;
-      (** extra cost of a message-based (Popcorn-style) walk while degraded *)
   gray_slow : gray_window list;  (** per-node slow-down windows *)
   gray_flaps : flap_burst list;  (** correlated link-flap episodes *)
   gray_ptl_stalls : ptl_stall list;  (** PTL lock-holder stall windows *)
   msg_dup_rate : float;  (** probability a delivery is duplicated *)
   msg_reorder_rate : float;  (** probability a delivery is reordered *)
-  msg_reorder_cycles : int;
   health_enabled : bool;
       (** arm health scoring + circuit breakers (the breaker-on/off A/B
           switch; only takes effect when a gray schedule is armed) *)
-  health_alpha : float;  (** EWMA smoothing factor, (0, 1] *)
-  breaker_trip_score : float;
-  breaker_probe_interval : int;
-  breaker_readmit_probes : int;
-  backoff_jitter : float;  (** +/- fraction applied to retry backoff *)
-  adaptive_timeout_mult : float;
-  heartbeat_readmit_beats : int;
-      (** consecutive on-time beats before a suspected peer is re-trusted *)
+  breaker_probe_interval : int;  (** cycles between half-open probes while tripped *)
   corrupt_flips : bit_flip list;  (** seeded single/multi-bit flips in tracked frames *)
   corrupt_msg_rate : float;  (** probability a delivery attempt's payload is corrupted *)
   corrupt_msg_truncate_rate : float;  (** probability an attempt arrives truncated *)
   corrupt_ckpt_rate : float;  (** probability a checkpoint blob is torn mid-write *)
   corrupt_pte_rate : float;  (** probability a remote-walker install lands a stale frame *)
   scrub_enabled : bool;  (** arm the background page scrubber (detection only) *)
-  scrub_windows : scrub_window list;  (** active spans; empty = always on *)
   scrub_interval_cycles : int;  (** minimum cycles between scrub sweeps *)
   scrub_pages_per_epoch : int;  (** per-sweep page-verification budget *)
 }
+(** Only the knobs some campaign turns. The fixed parameters of each
+    fault model (timeouts, retry budgets, heartbeat period, health EWMA
+    and breaker thresholds) are constants in the module that reads them:
+    this one for message delays and retries, {!Health}, [Ipi],
+    [Heartbeat], [Remote_walker], [Stramash_ptl] and [Stramash_fault]. *)
 
 val default : config
 (** All rates zero, no node events: a plan built from [default] injects
@@ -111,16 +88,16 @@ val default : config
 
 val validate : config -> (unit, string) result
 (** Full structural validation: rates in [0, 1], cycle counts
-    non-negative, attempt counts >= 1, non-overlapping [node_events],
-    per-node [gray_slow] windows and [scrub_windows], in-range flip
-    events (bits in [1, 8], node index within [Node_id.all]), sane
-    health parameters. CLI entry points call this before building a
-    machine so a bad flag fails fast with a message instead of deep
-    inside a run. *)
+    non-negative, intervals and budgets >= 1, non-overlapping
+    [node_events] and per-node [gray_slow] windows, in-range flip events
+    (bits in [1, 8], node index within [Node_id.all]). CLI entry points
+    call this before building a machine so a bad flag fails fast with a
+    message instead of deep inside a run. *)
 
 val config_fingerprint : config -> int
-(** Structural hash of the whole config, echoed next to the seed in
-    campaign JSON output for reproducibility. *)
+(** Digest of the whole config (every list entry, however long), cut to
+    a non-negative 52-bit int and echoed next to the seed in campaign
+    JSON output for reproducibility. *)
 
 type t
 
@@ -129,28 +106,28 @@ val create : seed:int64 -> config -> t
     time).
     @raise Invalid_argument on a malformed config. *)
 
-val config : t -> config
 val metrics : t -> Stramash_sim.Metrics.registry
-val recovery_histogram : t -> Stramash_sim.Metrics.Histogram.t
 
 (** {2 Message layer} *)
+
+val msg_timeout_cycles : int
+(** Sender-side loss-detection timeout: 20 us. *)
 
 val msg_attempt : t -> [ `Deliver of int | `Drop ]
 (** Verdict for one transmission attempt; [`Deliver extra] carries the
     injected delay in cycles (0 when on time). *)
 
-val msg_backoff : t -> attempt:int -> int
+val msg_backoff : attempt:int -> int
 (** Cycles the sender burns on attempt [attempt] (0-based): detection
     timeout plus exponential backoff. *)
 
-val msg_attempts_exhausted : t -> attempt:int -> bool
+val msg_attempts_exhausted : attempt:int -> bool
 val note_msg_retry : t -> unit
 val note_msg_escalation : t -> unit
 
 (** {2 IPI} *)
 
 val ipi_delivery : t -> [ `On_time | `Jitter of int | `Lost ]
-val ipi_timeout_cycles : t -> int
 
 (** {2 Remote walker} *)
 
@@ -182,10 +159,6 @@ val node_events : t -> node_event list
 (** Sorted by kill time. *)
 
 val chaos_armed : t -> bool
-val heartbeat_interval_cycles : t -> int
-val heartbeat_miss_threshold : t -> int
-val heartbeat_readmit_beats : t -> int
-val degraded_walk_penalty_cycles : t -> int
 
 val note_detection_latency : t -> cycles:int -> unit
 (** Watchdog detected a dead peer [cycles] after it actually died. *)

@@ -76,7 +76,6 @@ let gray_config ~slow ~flaps ~stalls ~breaker =
     gray_ptl_stalls = stalls;
     msg_dup_rate = 0.02;
     msg_reorder_rate = 0.05;
-    msg_reorder_cycles = Cycles.of_us 1.0;
     health_enabled = breaker;
     (* Probes are full-price fused faults while the window lasts, so pace
        them well below 1% of the fault population or they drag the

@@ -1,10 +1,12 @@
 module Node_id = Stramash_sim.Node_id
 module Trace = Stramash_obs.Trace
 
+let interval_cycles = Stramash_sim.Cycles.of_us 10.0
+let miss_threshold = 3  (* missed beats before a peer is declared dead *)
+let readmit_beats = 2  (* on-time beats before a suspected peer is re-trusted *)
+let detection_latency = interval_cycles * miss_threshold
+
 type t = {
-  interval : int;
-  miss_threshold : int;
-  readmit_beats : int;
   last_beat : int array;
   suspected : bool array;
   streak : int array;
@@ -12,25 +14,15 @@ type t = {
   mutable readmissions : int;
 }
 
-let create ?(readmit_beats = 2) ~interval ~miss_threshold () =
-  if interval <= 0 then invalid_arg "Heartbeat.create: interval must be > 0";
-  if miss_threshold <= 0 then invalid_arg "Heartbeat.create: miss_threshold must be > 0";
-  if readmit_beats <= 0 then invalid_arg "Heartbeat.create: readmit_beats must be > 0";
+let create () =
   let nodes = List.length Node_id.all in
   {
-    interval;
-    miss_threshold;
-    readmit_beats;
     last_beat = Array.make nodes 0;
     suspected = Array.make nodes false;
     streak = Array.make nodes 0;
     detections = 0;
     readmissions = 0;
   }
-
-let interval t = t.interval
-let readmit_beats t = t.readmit_beats
-let detection_latency t = t.interval * t.miss_threshold
 
 (* Re-admission is hysteresis-gated: a suspected peer must deliver
    [readmit_beats] consecutive *on-time* beats (each within one interval
@@ -42,9 +34,9 @@ let beat t ~node ~now =
   let gap = now - t.last_beat.(i) in
   if now > t.last_beat.(i) then t.last_beat.(i) <- now;
   if t.suspected.(i) then
-    if gap <= t.interval then begin
+    if gap <= interval_cycles then begin
       t.streak.(i) <- t.streak.(i) + 1;
-      if t.streak.(i) >= t.readmit_beats then begin
+      if t.streak.(i) >= readmit_beats then begin
         t.suspected.(i) <- false;
         t.streak.(i) <- 0;
         t.readmissions <- t.readmissions + 1;
@@ -58,9 +50,9 @@ let beat t ~node ~now =
 
 let missed_deadlines t ~peer ~now =
   let i = Node_id.index peer in
-  if now <= t.last_beat.(i) then 0 else (now - t.last_beat.(i)) / t.interval
+  if now <= t.last_beat.(i) then 0 else (now - t.last_beat.(i)) / interval_cycles
 
-let suspects t ~peer ~now = missed_deadlines t ~peer ~now >= t.miss_threshold
+let suspects t ~peer ~now = missed_deadlines t ~peer ~now >= miss_threshold
 let is_suspected t ~peer = t.suspected.(Node_id.index peer)
 let detections t = t.detections
 let readmissions t = t.readmissions

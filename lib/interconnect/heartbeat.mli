@@ -1,37 +1,37 @@
 (** Peer heartbeats and the crash-stop watchdog.
 
     Each live node publishes a beat over the message layer once per
-    scheduling quantum (rate-limited by [interval]); a peer that has
-    missed [miss_threshold] consecutive deadlines is *suspected* — the
-    survivor's view flips from fused operation to degraded message-based
+    scheduling quantum (rate-limited by {!interval_cycles}); a peer that
+    has missed {!miss_threshold} consecutive deadlines is *suspected* —
+    the survivor's view flips from fused operation to degraded message-based
     fallback. Suspicion is perceived state: the ground truth lives in
     {!Stramash_sim.Liveness}, and the gap between a kill and its
     detection is exactly the window where a survivor still charges
     fused-path costs against a peer that will never answer. *)
 
+val interval_cycles : int
+(** Beat deadline period: 10 us. *)
+
+val miss_threshold : int
+(** Missed deadlines before a peer is suspected: 3. *)
+
+val detection_latency : int
+(** [interval_cycles * miss_threshold]: worst-case cycles between a
+    silent crash and the watchdog declaring the peer dead. *)
+
 type t
 
-val create : ?readmit_beats:int -> interval:int -> miss_threshold:int -> unit -> t
-(** [readmit_beats] (default 2) is the hysteresis gate: consecutive
-    on-time beats required before a suspected peer is re-trusted.
-    @raise Invalid_argument unless all arguments are positive. *)
-
-val interval : t -> int
-val readmit_beats : t -> int
-
-val detection_latency : t -> int
-(** [interval * miss_threshold]: worst-case cycles between a silent crash
-    and the watchdog declaring the peer dead. *)
+val create : unit -> t
 
 val beat : t -> node:Stramash_sim.Node_id.t -> now:int -> unit
 (** Record a beat from [node]. A beat never clears suspicion by itself:
-    a suspected peer must deliver [readmit_beats] consecutive beats each
-    within one [interval] of the previous (the first beat after a long
+    a suspected peer must deliver two consecutive beats each within one
+    {!interval_cycles} of the previous (the first beat after a long
     silence only resets the streak) before suspicion lifts. *)
 
 val missed_deadlines : t -> peer:Stramash_sim.Node_id.t -> now:int -> int
 val suspects : t -> peer:Stramash_sim.Node_id.t -> now:int -> bool
-(** True once [peer] has missed [miss_threshold] deadlines at [now]. *)
+(** True once [peer] has missed {!miss_threshold} deadlines at [now]. *)
 
 val declare_dead : t -> peer:Stramash_sim.Node_id.t -> now:int -> unit
 (** Latch the suspicion (idempotent) and emit a watchdog trace event. *)

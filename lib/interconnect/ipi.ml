@@ -121,6 +121,8 @@ module Plan = Stramash_fault_inject.Plan
 
 type delivery = { cycles : int; lost : bool; jittered : bool }
 
+let timeout_cycles = Cycles.of_us 50.0
+
 module Trace = Stramash_obs.Trace
 
 let cross_isa_delivery ?inject ?peer ?now () =
@@ -135,7 +137,7 @@ let cross_isa_delivery ?inject ?peer ?now () =
         | `Lost ->
             (* The interrupt never arrives; the receiver notices by timeout
                and falls back to polling the ring head. *)
-            { cycles = Plan.ipi_timeout_cycles plan; lost = true; jittered = false })
+            { cycles = timeout_cycles; lost = true; jittered = false })
   in
   (* Observation only: any slow-window inflation is charged (and
      observed) once at the message layer, so the IPI feeds the peer's

@@ -49,6 +49,10 @@ type delivery = { cycles : int; lost : bool; jittered : bool }
     the interrupt was lost (receiver fell back to a polling timeout) or
     arrived late. *)
 
+val timeout_cycles : int
+(** The receiver's backstop: a lost IPI is noticed by polling after
+    50 us. *)
+
 val cross_isa_delivery :
   ?inject:Stramash_fault_inject.Plan.t ->
   ?peer:Stramash_sim.Node_id.t ->
@@ -57,7 +61,7 @@ val cross_isa_delivery :
   delivery
 (** [cross_isa_delivery ()] is the clean 2 us cost; with a fault plan the
     draw may add a jitter spike or lose the IPI entirely, in which case
-    [cycles] is the plan's detection timeout. Passing [peer] and [now]
+    [cycles] is {!timeout_cycles}. Passing [peer] and [now]
     additionally feeds the delivery outcome into the plan's health score
     for [peer] (observation only — no extra cycles). *)
 

@@ -287,16 +287,6 @@ let instant ?at ?node ?flow ?(tags = []) ~subsys ~op () =
           }
       end
 
-let with_span ?at ?tags ?flow_root ~node ~subsys ~op f =
-  let sp = span ?at ?tags ?flow_root ~node ~subsys ~op () in
-  match f () with
-  | result ->
-      close sp;
-      result
-  | exception e ->
-      close sp;
-      raise e
-
 (* ---------- blocked-on-remote accounting ---------- *)
 
 let add_blocked ~node ~subsys cycles =

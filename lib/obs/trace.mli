@@ -112,18 +112,6 @@ val instant :
     inside the span they perturbed. When [flow] is omitted it inherits
     from the node's {!with_flow} override or innermost open span. *)
 
-val with_span :
-  ?at:int ->
-  ?tags:(string * string) list ->
-  ?flow_root:bool ->
-  node:Node_id.t ->
-  subsys:string ->
-  op:string ->
-  (unit -> 'a) ->
-  'a
-(** [with_span ~node ~subsys ~op f] wraps [f] in a span, closing it on
-    normal return and on exception. *)
-
 (** {1 Causal flows} *)
 
 val fresh_flow : node:Node_id.t -> int

@@ -36,8 +36,11 @@ type t = {
 let poll_notice_cycles = 400
 let poll_busy_cycles = 300
 
-let create kind env ?(ring_slots = 512) ?(slot_bytes = 256) ?(notify = Ipi) ?tcp ?inject
-    ?heartbeat () =
+(* Geometry of each direction's SHM ring. *)
+let ring_slots = 512
+let slot_bytes = 256
+
+let create kind env ?(notify = Ipi) ?tcp ?inject ?heartbeat () =
   let ring sender_index =
     let sender = Node_id.of_index sender_index in
     (* Each direction gets half of a dedicated slice of the ring area. *)
@@ -179,7 +182,7 @@ let deliver_untraced ?(label = "msg") t ~src ~bytes =
         let pay = Plan.msg_backoff_for plan ~peer:dst ~attempt in
         Meter.add (Env.meter t.env src) pay;
         let burned = burned + pay in
-        if Plan.msg_attempts_exhausted plan ~attempt:(attempt + 1) then begin
+        if Plan.msg_attempts_exhausted ~attempt:(attempt + 1) then begin
           Plan.note_msg_escalation plan;
           Plan.record_recovery plan ~cycles:burned;
           if crc_cost > 0 then begin

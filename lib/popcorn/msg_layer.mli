@@ -26,8 +26,6 @@ type t
 val create :
   kind ->
   Stramash_kernel.Env.t ->
-  ?ring_slots:int ->
-  ?slot_bytes:int ->
   ?notify:notify_mode ->
   ?tcp:Stramash_interconnect.Tcp_link.t ->
   ?inject:Stramash_fault_inject.Plan.t ->

@@ -28,7 +28,6 @@ type config = {
   seed : int64;
   placement : bool;
   inject : Plan.config option;
-  quantum : int;
   cache_mode : Cache_sim.mode;
   slo : Slo.thresholds;
 }
@@ -45,10 +44,13 @@ let default =
     seed = 0x5E12E5L;
     placement = false;
     inject = None;
-    quantum = Cycles.of_us 20.0;
     cache_mode = Cache_sim.Fast;
     slo = Slo.default;
   }
+
+(* The driver paces a scheduling-quantum boundary every this many cycles
+   of simulated time. *)
+let quantum_cycles = Cycles.of_us 20.0
 
 let is_stramash = function
   | Machine.Stramash_kernel_os | Machine.Stramash_no_futex_opt -> true
@@ -63,7 +65,6 @@ let validate cfg =
   let* () = check (cfg.rate > 0.0) "rate must be > 0 requests/s" in
   let* () = check (cfg.requests > 0) "requests must be positive" in
   let* () = check (cfg.payload > 0) "payload must be positive" in
-  let* () = check (cfg.quantum > 0) "quantum must be positive" in
   let* () = Workload.validate_mix cfg.mix in
   let* () = Slo.validate cfg.slo in
   let* () =
@@ -170,11 +171,11 @@ let run cfg =
   in
   let reg = Metrics.registry () in
   let qcount = ref 0 in
-  let next_q = ref cfg.quantum in
+  let next_q = ref quantum_cycles in
   let pace now =
     while !next_q <= now do
       Runner.quantum_boundary machine ~count:qcount ~now:!next_q;
-      next_q := !next_q + cfg.quantum
+      next_q := !next_q + quantum_cycles
     done
   in
   let rows = List.map (fun op -> (Workload.op_name op, hist ())) Workload.all_ops in

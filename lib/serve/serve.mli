@@ -40,7 +40,6 @@ type config = {
   seed : int64;
   placement : bool;  (** attach the adaptive placement engine (Stramash only) *)
   inject : Stramash_fault_inject.Plan.config option;
-  quantum : int;  (** cycles per scheduling quantum *)
   cache_mode : Stramash_cache.Cache_sim.mode;
   slo : Slo.thresholds;
 }
@@ -51,7 +50,7 @@ val default : config
 
 val validate : config -> (unit, string) result
 (** Structural validation, called by the CLI before building a machine:
-    positive keys/rate/requests/payload/quantum/theta, a usable mix and
+    positive keys/rate/requests/payload/theta, a usable mix and
     SLO, no Vanilla personality, placement only under Stramash, and —
     when a plan is armed — [Plan.validate] plus serve-specific limits
     (every [node_event] must carry a restart). *)

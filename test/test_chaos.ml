@@ -141,26 +141,30 @@ let test_plan_validates_schedule () =
 
 (* ---------- heartbeat watchdog ---------- *)
 
+(* Times are in hundredths of a beat interval, so [at 300] is exactly
+   the third deadline after a beat at 0. *)
+let at n = n * Heartbeat.interval_cycles / 100
+
 let test_heartbeat_watchdog () =
-  let hb = Heartbeat.create ~readmit_beats:2 ~interval:100 ~miss_threshold:3 () in
-  checki "detection latency" 300 (Heartbeat.detection_latency hb);
-  Heartbeat.beat hb ~node:arm ~now:50;
-  checkb "fresh beat, no suspicion" false (Heartbeat.suspects hb ~peer:arm ~now:140);
-  checkb "two misses, still trusted" false (Heartbeat.suspects hb ~peer:arm ~now:260);
-  checkb "third deadline missed" true (Heartbeat.suspects hb ~peer:arm ~now:360);
+  let hb = Heartbeat.create () in
+  checki "detection latency" (at 300) Heartbeat.detection_latency;
+  Heartbeat.beat hb ~node:arm ~now:(at 50);
+  checkb "fresh beat, no suspicion" false (Heartbeat.suspects hb ~peer:arm ~now:(at 140));
+  checkb "two misses, still trusted" false (Heartbeat.suspects hb ~peer:arm ~now:(at 260));
+  checkb "third deadline missed" true (Heartbeat.suspects hb ~peer:arm ~now:(at 360));
   checkb "not latched until declared" false (Heartbeat.is_suspected hb ~peer:arm);
-  Heartbeat.declare_dead hb ~peer:arm ~now:360;
-  Heartbeat.declare_dead hb ~peer:arm ~now:400;
+  Heartbeat.declare_dead hb ~peer:arm ~now:(at 360);
+  Heartbeat.declare_dead hb ~peer:arm ~now:(at 400);
   checkb "latched" true (Heartbeat.is_suspected hb ~peer:arm);
   checki "idempotent detection count" 1 (Heartbeat.detections hb);
   (* Re-admission is hysteresis-gated: the first beat after the silence
      only resets the streak, and suspicion lifts only after readmit_beats
      consecutive on-time beats. *)
-  Heartbeat.beat hb ~node:arm ~now:500;
+  Heartbeat.beat hb ~node:arm ~now:(at 500);
   checkb "single beat does not clear suspicion" true (Heartbeat.is_suspected hb ~peer:arm);
-  Heartbeat.beat hb ~node:arm ~now:580;
+  Heartbeat.beat hb ~node:arm ~now:(at 580);
   checkb "one on-time beat is not enough" true (Heartbeat.is_suspected hb ~peer:arm);
-  Heartbeat.beat hb ~node:arm ~now:660;
+  Heartbeat.beat hb ~node:arm ~now:(at 660);
   checkb "streak complete clears suspicion" false (Heartbeat.is_suspected hb ~peer:arm);
   checki "readmission counted" 1 (Heartbeat.readmissions hb)
 

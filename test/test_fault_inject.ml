@@ -106,13 +106,29 @@ let test_plan_streams_independent () =
     (msg_trace b 200)
 
 let test_backoff_grows () =
-  let plan = Plan.create ~seed:1L mixed_config in
-  let b0 = Plan.msg_backoff plan ~attempt:0 in
-  let b3 = Plan.msg_backoff plan ~attempt:3 in
+  let b0 = Plan.msg_backoff ~attempt:0 in
+  let b3 = Plan.msg_backoff ~attempt:3 in
   Alcotest.(check bool) "backoff positive" true (b0 > 0);
   Alcotest.(check bool) "backoff grows" true (b3 > b0);
   (* the exponent saturates: huge attempt numbers must not overflow *)
-  Alcotest.(check bool) "saturated backoff sane" true (Plan.msg_backoff plan ~attempt:1000 > 0)
+  Alcotest.(check bool) "saturated backoff sane" true (Plan.msg_backoff ~attempt:1000 > 0)
+
+(* The fingerprint must see every entry of a long schedule: two configs
+   that differ only in the last of 64 windows (or flips) are different
+   experiments. *)
+let test_fingerprint_covers_long_schedules () =
+  let fp config = Plan.config_fingerprint config in
+  let last f l = List.mapi (fun i x -> if i = 63 then f x else x) l in
+  let windows =
+    List.init 64 (fun i -> { Plan.g_node = x86; g_start = i * 100; g_len = 50; g_factor = 2.0 })
+  in
+  let flips = List.init 64 (fun i -> { Plan.bf_at = i; bf_node = 0; bf_bits = 1 }) in
+  Alcotest.(check bool) "last gray_slow window" true
+    (fp { Plan.default with gray_slow = windows }
+    <> fp { Plan.default with gray_slow = last (fun w -> { w with Plan.g_factor = 3.0 }) windows });
+  Alcotest.(check bool) "last corrupt_flips event" true
+    (fp { Plan.default with corrupt_flips = flips }
+    <> fp { Plan.default with corrupt_flips = last (fun f -> { f with Plan.bf_bits = 2 }) flips })
 
 (* ---------- message retry / escalation ---------- *)
 
@@ -130,13 +146,13 @@ let test_msg_all_drops_escalates_but_completes () =
   Alcotest.(check bool) "escalated to the reliable path" true (Metrics.get m "msg.escalations" > 0);
   (* the sender burned detection timeouts + backoff on every lost attempt *)
   Alcotest.(check bool) "sender paid for the losses" true
-    (Meter.get (Env.meter env x86) > Plan.default.Plan.msg_timeout_cycles)
+    (Meter.get (Env.meter env x86) > Plan.msg_timeout_cycles)
 
 let test_ipi_loss_costs_timeout () =
   let plan = Plan.create ~seed:5L { Plan.default with Plan.ipi_loss_rate = 1.0 } in
   let d = Ipi.cross_isa_delivery ~inject:plan () in
   Alcotest.(check bool) "lost" true d.Ipi.lost;
-  checki "receiver discovers it by timeout" (Plan.default.Plan.ipi_timeout_cycles) d.Ipi.cycles;
+  checki "receiver discovers it by timeout" Ipi.timeout_cycles d.Ipi.cycles;
   let clean = Ipi.cross_isa_delivery () in
   Alcotest.(check bool) "uninjected delivery on time" false clean.Ipi.lost
 
@@ -285,6 +301,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_plan_deterministic;
           Alcotest.test_case "streams independent" `Quick test_plan_streams_independent;
           Alcotest.test_case "backoff grows" `Quick test_backoff_grows;
+          Alcotest.test_case "fingerprint sees the whole config" `Quick
+            test_fingerprint_covers_long_schedules;
         ] );
       ( "recovery",
         [

@@ -33,12 +33,7 @@ let test_validate_rejects_malformed () =
       gray_slow = [ window ~start:100 ~len:1000 (); window ~start:500 ~len:100 () ];
     };
   expect_invalid "dup rate > 1" { Plan.default with msg_dup_rate = 1.5 };
-  expect_invalid "negative reorder cycles" { Plan.default with msg_reorder_cycles = -1 };
-  expect_invalid "alpha out of range" { Plan.default with health_alpha = 0.0 };
-  expect_invalid "trip score out of range" { Plan.default with breaker_trip_score = 1.0 };
-  expect_invalid "jitter out of range" { Plan.default with backoff_jitter = 1.0 };
-  expect_invalid "timeout mult < 1" { Plan.default with adaptive_timeout_mult = 0.5 };
-  expect_invalid "readmit probes < 1" { Plan.default with breaker_readmit_probes = 0 };
+  expect_invalid "probe interval < 1" { Plan.default with breaker_probe_interval = 0 };
   expect_invalid "flap drop rate" {
     Plan.default with
     gray_flaps = [ { Plan.fl_start = 1; fl_len = 10; fl_drop_rate = 2.0; fl_delay_cycles = 0 } ];
@@ -120,7 +115,6 @@ let test_gray_determinism () =
         [ { Plan.fl_start = 0; fl_len = 10_000; fl_drop_rate = 0.4; fl_delay_cycles = 7 } ];
       msg_dup_rate = 0.3;
       msg_reorder_rate = 0.3;
-      msg_reorder_cycles = 11;
     }
   in
   let draw plan =
@@ -158,18 +152,8 @@ let test_unarmed_is_inert () =
 
 (* ---------- health scoring + breaker ---------- *)
 
-let health_params =
-  {
-    Health.alpha = 0.3;
-    trip_score = 0.55;
-    probe_interval = 1000;
-    readmit_probes = 2;
-    backoff_jitter = 0.25;
-    adaptive_timeout_mult = 4.0;
-  }
-
-let make_health ?(params = health_params) () =
-  Health.create ~rng:(Rng.create ~seed:11L) ~metrics:(Metrics.registry ()) params
+let make_health () =
+  Health.create ~rng:(Rng.create ~seed:11L) ~metrics:(Metrics.registry ()) ~probe_interval:1000
 
 let peer = Node_id.Arm
 
@@ -181,7 +165,7 @@ let test_health_score_and_trip () =
   checkb "nominal service keeps it closed" true (Health.breaker_state h ~peer = Health.Closed);
   Health.observe_service h ~peer ~cycles:5000 ~nominal:100 ~now:10;
   checkb "gross slow-down trips the breaker" true (Health.breaker_state h ~peer = Health.Open);
-  checkb "score collapsed" true (Health.score h ~peer < 0.55)
+  checkb "score collapsed" true (Health.score h ~peer < Health.trip_score)
 
 let test_failures_trip_breaker () =
   let h = make_health () in
@@ -212,7 +196,7 @@ let test_probe_hysteresis_and_readmission () =
     Health.probe_done h ~peer ~now
   in
   checkb "readmission bar above trip score" true
-    (Health.readmit_score h > health_params.Health.trip_score);
+    (Health.readmit_score > Health.trip_score);
   let rec heal now guard =
     if Health.breaker_state h ~peer = Health.Closed then now
     else if guard = 0 then Alcotest.fail "breaker never re-closed"
@@ -222,7 +206,8 @@ let test_probe_hysteresis_and_readmission () =
     end
   in
   let closed_at = heal 1000 40 in
-  checkb "needed more than one probe" true (closed_at > 2000);
+  checkb "needed readmit_probes passing probes" true
+    (closed_at >= 1000 * (Health.readmit_probes + 1));
   checkb "closed in the end" true (Health.breaker_state h ~peer = Health.Closed)
 
 let test_failed_probe_reopens () =
@@ -249,7 +234,9 @@ let test_adaptive_timeout_and_backoff () =
   checki "default until first sample" 42
     (Health.adaptive_timeout h ~peer ~floor:1 ~cap:1000 ~default:42);
   Health.observe_msg_rtt h ~peer ~cycles:100 ~nominal:100 ~now:0;
-  checki "mult x rtt ewma" 400 (Health.adaptive_timeout h ~peer ~floor:1 ~cap:1000 ~default:42);
+  checki "mult x rtt ewma"
+    (int_of_float (Health.adaptive_timeout_mult *. 100.0))
+    (Health.adaptive_timeout h ~peer ~floor:1 ~cap:1000 ~default:42);
   checki "cap clamps" 250 (Health.adaptive_timeout h ~peer ~floor:1 ~cap:250 ~default:42);
   checki "floor clamps" 600 (Health.adaptive_timeout h ~peer ~floor:600 ~cap:1000 ~default:42);
   (* Jittered exponential backoff stays within the jitter envelope and
@@ -260,7 +247,7 @@ let test_adaptive_timeout_and_backoff () =
     for _ = 1 to 50 do
       let b = Health.backoff h ~peer ~attempt ~base ~floor:1 ~cap:10_000 ~default:42 in
       let exp = timeout + (base * (1 lsl attempt)) in
-      let jitter = health_params.Health.backoff_jitter *. float_of_int exp in
+      let jitter = Health.backoff_jitter *. float_of_int exp in
       checkb
         (Printf.sprintf "attempt %d backoff %d within envelope of %d" attempt b exp)
         true
@@ -275,7 +262,7 @@ let test_plan_backoff_matches_legacy_when_unarmed () =
     (fun attempt ->
       checki
         (Printf.sprintf "attempt %d" attempt)
-        (Plan.msg_backoff plan ~attempt)
+        (Plan.msg_backoff ~attempt)
         (Plan.msg_backoff_for plan ~peer:Node_id.X86 ~attempt))
     [ 0; 1; 2; 3 ]
 

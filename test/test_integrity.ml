@@ -50,8 +50,6 @@ let test_crc_page_matches_raw_bytes () =
 let flip ?(at = 100) ?(node = 0) ?(bits = 1) () =
   { Plan.bf_at = at; bf_node = node; bf_bits = bits }
 
-let sw start len = { Plan.sw_start = start; sw_len = len }
-
 let expect_invalid label config =
   match Plan.validate config with
   | Ok () -> Alcotest.failf "%s: validate accepted a malformed config" label
@@ -70,9 +68,6 @@ let test_validate_rejects_malformed () =
   expect_invalid "negative truncate rate" { Plan.default with corrupt_msg_truncate_rate = -0.1 };
   expect_invalid "ckpt rate > 1" { Plan.default with corrupt_ckpt_rate = 2.0 };
   expect_invalid "pte rate < 0" { Plan.default with corrupt_pte_rate = -1.0 };
-  expect_invalid "overlapping scrub windows"
-    { Plan.default with scrub_windows = [ sw 100 1000; sw 500 100 ] };
-  expect_invalid "zero-length scrub window" { Plan.default with scrub_windows = [ sw 100 0 ] };
   expect_invalid "zero scrub interval" { Plan.default with scrub_interval_cycles = 0 };
   expect_invalid "zero scrub budget" { Plan.default with scrub_pages_per_epoch = 0 }
 
@@ -81,8 +76,6 @@ let test_validate_accepts_sane () =
     (Plan.validate
        { Plan.default with corrupt_flips = [ flip ~bits:1 (); flip ~bits:8 ~node:1 () ] }
     = Ok ());
-  checkb "adjacent scrub windows" true
-    (Plan.validate { Plan.default with scrub_windows = [ sw 100 400; sw 500 100 ] } = Ok ());
   checkb "campaign probe config" true
     (Plan.validate
        (IE.probe_config IE.default)
@@ -208,10 +201,9 @@ let fill phys ~frame ~seed =
     Phys_mem.write_u64 phys (frame + (8 * w)) (Int64.of_int ((seed + w) * 1103515245))
   done
 
-let make_store ?(flips = []) ?(scrub = true) ?(windows = []) ?(interval = 10) ?(budget = 64) ()
-    =
+let make_store ?(flips = []) ?(scrub = true) ?(interval = 10) ?(budget = 64) () =
   Integrity.create ~rng:(Rng.create ~seed:42L) ~metrics:(Metrics.registry ()) ~flips ~scrub
-    ~windows ~interval ~budget
+    ~interval ~budget
 
 let pair_frames st phys a b =
   fill phys ~frame:a ~seed:7;

@@ -121,26 +121,30 @@ let test_tcp_custom_rtt () =
 
 (* ---------- heartbeat ---------- *)
 
+(* Times are in hundredths of a beat interval, so [at 400] is exactly
+   the third deadline after a beat at [at 100]. *)
+let at n = n * Heartbeat.interval_cycles / 100
+
 (* missed_deadlines counts whole intervals: the count (and therefore
    suspicion) flips exactly at the deadline, not one cycle early. *)
 let test_heartbeat_deadline_boundary () =
-  let hb = Heartbeat.create ~readmit_beats:2 ~interval:100 ~miss_threshold:3 () in
+  let hb = Heartbeat.create () in
   let peer = Node_id.Arm in
-  Heartbeat.beat hb ~node:peer ~now:100;
-  checki "two deadlines one cycle before the third" 2
-    (Heartbeat.missed_deadlines hb ~peer ~now:399);
+  Heartbeat.beat hb ~node:peer ~now:(at 100);
+  checki "two deadlines one cycle before the third" (Heartbeat.miss_threshold - 1)
+    (Heartbeat.missed_deadlines hb ~peer ~now:(at 400 - 1));
   Alcotest.(check bool) "not suspect one cycle early" false
-    (Heartbeat.suspects hb ~peer ~now:399);
-  checki "third deadline exactly on the boundary" 3
-    (Heartbeat.missed_deadlines hb ~peer ~now:400);
+    (Heartbeat.suspects hb ~peer ~now:(at 400 - 1));
+  checki "third deadline exactly on the boundary" Heartbeat.miss_threshold
+    (Heartbeat.missed_deadlines hb ~peer ~now:(at 400));
   Alcotest.(check bool) "suspect exactly on the deadline" true
-    (Heartbeat.suspects hb ~peer ~now:400);
+    (Heartbeat.suspects hb ~peer ~now:(at 400));
   (* A beat landing exactly one interval after the previous one is
      on-time (boundary inclusive) for the re-admission streak. *)
-  Heartbeat.declare_dead hb ~peer ~now:400;
-  Heartbeat.beat hb ~node:peer ~now:500;
-  Heartbeat.beat hb ~node:peer ~now:600;
-  Heartbeat.beat hb ~node:peer ~now:700;
+  Heartbeat.declare_dead hb ~peer ~now:(at 400);
+  Heartbeat.beat hb ~node:peer ~now:(at 500);
+  Heartbeat.beat hb ~node:peer ~now:(at 600);
+  Heartbeat.beat hb ~node:peer ~now:(at 700);
   Alcotest.(check bool) "exact-interval cadence readmits" false
     (Heartbeat.is_suspected hb ~peer)
 
@@ -148,21 +152,21 @@ let test_heartbeat_deadline_boundary () =
    beat after the silence only resets the streak, and a late beat breaks
    a streak already in progress. *)
 let test_heartbeat_restart_inside_window () =
-  let hb = Heartbeat.create ~readmit_beats:2 ~interval:100 ~miss_threshold:3 () in
+  let hb = Heartbeat.create () in
   let peer = Node_id.X86 in
-  Heartbeat.beat hb ~node:peer ~now:50;
-  Heartbeat.declare_dead hb ~peer ~now:360;
+  Heartbeat.beat hb ~node:peer ~now:(at 50);
+  Heartbeat.declare_dead hb ~peer ~now:(at 360);
   Alcotest.(check bool) "suspected after silence" true (Heartbeat.is_suspected hb ~peer);
-  Heartbeat.beat hb ~node:peer ~now:460;
+  Heartbeat.beat hb ~node:peer ~now:(at 460);
   Alcotest.(check bool) "single post-restart beat never readmits" true
     (Heartbeat.is_suspected hb ~peer);
-  Heartbeat.beat hb ~node:peer ~now:550;
+  Heartbeat.beat hb ~node:peer ~now:(at 550);
   Alcotest.(check bool) "streak of one not enough" true (Heartbeat.is_suspected hb ~peer);
   (* Late beat: the streak resets, suspicion survives. *)
-  Heartbeat.beat hb ~node:peer ~now:700;
+  Heartbeat.beat hb ~node:peer ~now:(at 700);
   Alcotest.(check bool) "late beat breaks the streak" true (Heartbeat.is_suspected hb ~peer);
-  Heartbeat.beat hb ~node:peer ~now:790;
-  Heartbeat.beat hb ~node:peer ~now:880;
+  Heartbeat.beat hb ~node:peer ~now:(at 790);
+  Heartbeat.beat hb ~node:peer ~now:(at 880);
   Alcotest.(check bool) "full streak after the reset readmits" false
     (Heartbeat.is_suspected hb ~peer);
   checki "one readmission counted" 1 (Heartbeat.readmissions hb)
@@ -170,9 +174,10 @@ let test_heartbeat_restart_inside_window () =
 let prop_heartbeat_missed_monotone =
   QCheck.Test.make ~name:"missed_deadlines is monotone in now between beats" ~count:300
     QCheck.(
-      quad (int_range 1 50) (int_range 0 1000) (int_range 0 2000) (int_range 0 2000))
-    (fun (interval, beat_at, a, b) ->
-      let hb = Heartbeat.create ~interval ~miss_threshold:3 () in
+      let span n = int_range 0 (n * Heartbeat.interval_cycles) in
+      triple (span 10) (span 20) (span 20))
+    (fun (beat_at, a, b) ->
+      let hb = Heartbeat.create () in
       let peer = Node_id.Arm in
       Heartbeat.beat hb ~node:peer ~now:beat_at;
       let t1 = min a b and t2 = max a b in
