@@ -288,7 +288,7 @@ let run_placement () =
   let rows =
     List.map
       (fun bench ->
-        let spec = Option.get (H.Placement_experiments.full_spec_of_bench bench) in
+        let spec = Option.get (W.Npb_suite.spec_of_name bench) in
         let shm = H.Placement_experiments.run_shm spec in
         let shm_wall = shm.Runner.wall_cycles in
         let cells =

@@ -155,25 +155,38 @@ let usage_error = H.Campaign.(exit_code Unknown_bench)
 
 let filter_without_sink = "--trace-filter needs --trace or --metrics-json"
 
+(* The subsystems a --trace-filter names; a name nothing records under
+   would silently yield an empty trace, so it is a usage error. *)
+let parse_filter = function
+  | None -> Ok []
+  | Some s -> (
+      let names =
+        String.split_on_char ',' s |> List.map String.trim |> List.filter (fun x -> x <> "")
+      in
+      match List.filter (fun n -> not (List.mem n Trace.known_subsystems)) names with
+      | [] -> Ok names
+      | unknown ->
+          Error
+            (Printf.sprintf "unknown --trace-filter subsystem %s (known: %s)"
+               (String.concat ", " unknown)
+               (String.concat ", " Trace.known_subsystems)))
+
 (* Install a tracer for the duration of [f] when either output flag is
    given, then render the sinks. Tracing stays completely off otherwise;
-   a filter with no sink to filter is a usage error, not a silent no-op. *)
+   a filter with no sink to filter, or naming a subsystem nothing records
+   under, is a usage error, not a silent no-op. *)
 let run_with_obs (trace_file, metrics_file, filter) ?(extra = fun (_ : Obs.Snapshot.t) -> ())
     ?(fastpath = fun () -> []) f =
-  match (trace_file, metrics_file) with
-  | None, None when filter <> None ->
+  match (trace_file, metrics_file, parse_filter filter) with
+  | None, None, _ when filter <> None ->
       Format.eprintf "stramash_cli: %s@." filter_without_sink;
       usage_error
-  | None, None -> f ()
+  | None, None, _ -> f ()
+  | _, _, Error msg ->
+      Format.eprintf "stramash_cli: %s@." msg;
+      usage_error
   | _ when not (check_writable trace_file && check_writable metrics_file) -> 1
-  | _ ->
-      let filter =
-        match filter with
-        | None -> []
-        | Some s ->
-            String.split_on_char ',' s |> List.map String.trim
-            |> List.filter (fun x -> x <> "")
-      in
+  | _, _, Ok filter ->
       let tracer = Trace.create ~filter () in
       Trace.install tracer;
       let finish () =
@@ -363,11 +376,8 @@ let campaign_bench_arg =
   Arg.(value & opt string "is" & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"is | cg | mg | ft")
 
 let check_bench ~campaign bench =
-  if List.mem bench H.Fault_experiments.benches then Ok ()
-  else
-    Error
-      (Printf.sprintf "unknown benchmark %s (%s campaign runs %s)" bench campaign
-         (String.concat " | " H.Fault_experiments.benches))
+  if List.mem bench H.Campaign.benches then Ok ()
+  else Error (H.Campaign.unknown_bench ~campaign bench)
 
 (* One structural validation shared by every campaign that arms a plan. *)
 let check_plan config =

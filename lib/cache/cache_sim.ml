@@ -239,18 +239,12 @@ let hit_rate t node level =
   if accesses = 0 then 0.0 else float_of_int hits /. float_of_int accesses
 
 (* Observers chain: callers register independently (Cache.Trace, DSM, the
-   obs layer) and all fire in registration order. [set_* None] clears
-   every observer; [set_* (Some f)] resets the chain to just [f] — the
-   historical single-slot behaviour, kept for existing call sites. *)
+   obs layer) and all fire in registration order. Only access probes can
+   be dropped again: a write-back hook is part of the model (DSM's
+   consistency policy), not an observer. *)
 let add_probe t f = t.probes <- t.probes @ [ f ]
-
-let set_probe t probe =
-  t.probes <- (match probe with None -> [] | Some f -> [ f ])
-
+let clear_probes t = t.probes <- []
 let add_writeback_hook t f = t.writeback_hooks <- t.writeback_hooks @ [ f ]
-
-let set_writeback_hook t hook =
-  t.writeback_hooks <- (match hook with None -> [] | Some f -> [ f ])
 
 let reset_stats t = Array.iter zero_stats t.nstats
 

@@ -131,19 +131,15 @@ val add_probe : t -> (Stramash_sim.Node_id.t -> kind -> int -> unit) -> unit
     registration order so the Fig. 8 trace recorder and the obs layer can
     observe the same run. *)
 
-val set_probe : t -> (Stramash_sim.Node_id.t -> kind -> int -> unit) option -> unit
-(** [set_probe t None] removes every probe; [set_probe t (Some f)] resets
-    the chain to [f] alone (the historical single-observer behaviour). *)
+val clear_probes : t -> unit
+(** Remove every {!add_probe} hook (write-back hooks stay), e.g. once a
+    recorder has captured its run and the fast path may take over. *)
 
 val add_writeback_hook : t -> (Stramash_sim.Node_id.t -> line:int -> unit) -> unit
 (** Append a hook fired whenever a dirty line is written back from a
     node's coherence point. Popcorn's DSM registers here: a write-back to
     a replicated page triggers the software consistency policy (paper
     §9.2.2). Hooks must not recurse into the cache simulator. *)
-
-val set_writeback_hook : t -> (Stramash_sim.Node_id.t -> line:int -> unit) option -> unit
-(** Clear ([None]) or reset ([Some f]) the write-back hook chain, as with
-    {!set_probe}. *)
 
 val reset_stats : t -> unit
 

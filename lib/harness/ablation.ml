@@ -1,5 +1,4 @@
 module Node_id = Stramash_sim.Node_id
-module Meter = Stramash_sim.Meter
 module Cycles = Stramash_sim.Cycles
 module Addr = Stramash_mem.Addr
 module Layout = Stramash_mem.Layout
@@ -9,11 +8,9 @@ module Cxl = Stramash_cache.Cxl
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
 module Kheap = Stramash_kernel.Kheap
-module Tlb = Stramash_kernel.Tlb
 module Msg_layer = Stramash_popcorn.Msg_layer
 module Stramash_os = Stramash_core.Stramash_os
 module Stramash_fault = Stramash_core.Stramash_fault
-module Stramash_ptl = Stramash_core.Stramash_ptl
 module Data_packing = Stramash_core.Data_packing
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
@@ -130,19 +127,8 @@ let fallback_stats fmt =
 (* ---------- secure data packing ---------- *)
 
 let data_packing fmt =
-  let cache = Stramash_cache.Cache_sim.create (Cache_config.default Layout.Shared) in
-  let phys = Phys_mem.create () in
-  let env =
-    {
-      Env.cache;
-      phys;
-      kernels = [| Kernel.boot ~node:Node_id.X86 ~phys; Kernel.boot ~node:Node_id.Arm ~phys |];
-      meters = [| Meter.create (); Meter.create () |];
-      tlbs = [| Tlb.create (); Tlb.create () |];
-      hw_model = Layout.Shared;
-      liveness = Stramash_sim.Liveness.create ();
-    }
-  in
+  let env = Env.create (Stramash_cache.Cache_sim.create (Cache_config.default Layout.Shared)) in
+  let phys = env.Env.phys in
   let packer = Data_packing.create env ~owner:Node_id.X86 ~window_bytes:(16 * Addr.page_size) in
   (* simulate packing a process's shareable kernel objects: VMA structs,
      the PTL word, futex buckets *)

@@ -1,7 +1,7 @@
 (** Shared campaign plumbing: the verdict every seeded campaign (faults,
     chaos, place, gray, scrub, serve) returns, the CLI exit-code contract,
-    and the one soak loop that runs campaign cells at derived seeds over
-    host domains. *)
+    the one soak loop that runs campaign cells at derived seeds over host
+    domains, and the audited-run kit the fault campaigns are built from. *)
 
 type verdict =
   | Clean  (** The campaign ran and every gate it checks passed. *)
@@ -51,3 +51,97 @@ val soak_json :
 (** The [stramash-<name>-soak/1] document: [params] (the campaign's
     config), then per-cell verdicts and the overall verdict. Holds no
     timings or host facts, so it is byte-identical for any domain count. *)
+
+(** {1 The audited-run kit}
+
+    The steps the fault campaigns (chaos, gray, scrub, place; faults uses
+    the spec guard and the machine) share. Each is a plain function; a
+    campaign that prints something different passes the difference in
+    as data — an audit label, or extra audit predicates. *)
+
+val benches : string list
+(** Benchmarks every fault campaign accepts: the Fig. 9 NPB set at small
+    problem sizes. *)
+
+val unknown_bench : campaign:string -> string -> string
+(** ["unknown benchmark <bench> (<campaign> campaign runs is | cg | mg | ft)"]
+    — the one message for a bench outside {!benches}, in the campaigns
+    and in the CLI's up-front check. *)
+
+val spec_of_bench :
+  Format.formatter -> campaign:string -> string -> Stramash_machine.Spec.t option
+(** The campaign-sized spec for a {!benches} entry; otherwise prints
+    {!unknown_bench} and returns [None]. *)
+
+val stramash :
+  seed:int64 ->
+  cache_mode:Stramash_cache.Cache_sim.mode ->
+  ?inject:Stramash_fault_inject.Plan.config ->
+  unit ->
+  Stramash_machine.Machine.t
+(** A fused-kernel machine with the default hardware model. *)
+
+val attach_placement :
+  ?epoch:int ->
+  policy:Stramash_placement.Policy.t ->
+  Stramash_machine.Machine.t ->
+  Stramash_placement.Engine.t
+(** Create a placement engine on a {!stramash} machine and attach it
+    (before the first [load]). *)
+
+val checksum :
+  Stramash_machine.Machine.t -> proc:Stramash_kernel.Process.t -> int64 option
+(** The NPB checksum word read through whichever kernel still maps it —
+    the workload fingerprint campaigns compare against their baseline. *)
+
+val pp_checksum : Format.formatter -> int64 option -> unit
+(** [0x...], or [<unmapped>] when no kernel maps the word. *)
+
+type baseline = {
+  wall : int;  (** Fault-free wall cycles. *)
+  checksum : int64 option;  (** Fault-free {!checksum}. *)
+  origin : Stramash_sim.Node_id.t;  (** The process's origin node. *)
+  anchor : int option;
+      (** First cycle the thread lands on a node other than [origin] —
+          the anchor the fault schedules build around. *)
+}
+
+val baseline :
+  ?policy:Stramash_placement.Policy.t ->
+  seed:int64 ->
+  cache_mode:Stramash_cache.Cache_sim.mode ->
+  Stramash_machine.Spec.t ->
+  baseline
+(** Run [spec] fault-free on a {!stramash} machine (with a placement
+    engine under [policy], if given) and fingerprint it. *)
+
+val pp_baseline : Format.formatter -> baseline -> unit
+(** The ["baseline: wall=... cycles, checksum=..."] line. *)
+
+val survivor :
+  Format.formatter -> label:string -> baseline -> int64 option -> bool
+(** Print ["<label> checksum: ... (matches|DIFFERS from baseline)"];
+    [true] iff the checksum is mapped and equals the baseline's. *)
+
+val audit :
+  Format.formatter ->
+  label:string ->
+  Stramash_machine.Machine.t ->
+  proc:Stramash_kernel.Process.t ->
+  ?extra:(string * bool) list ->
+  unit ->
+  bool
+(** The kernel invariant audit of a {!stramash} machine, with the fused
+    kernel's live threads, death-parked waiters, allocator ledger and
+    PTL quiescence; [extra] predicates come first in the report. Prints
+    ["audit[<label>]: ..."] and returns whether it was clean. *)
+
+val teardown :
+  Format.formatter ->
+  label:string ->
+  Stramash_machine.Machine.t ->
+  proc:Stramash_kernel.Process.t ->
+  bool
+(** Exit [proc] and check every frame it mapped came back (the §6.4
+    teardown invariant). Prints ["audit[<label>]: ..."] and returns
+    whether it was clean. *)

@@ -16,18 +16,8 @@ module Metrics = Stramash_sim.Metrics
 module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module Os = Stramash_machine.Os
-module Spec = Stramash_machine.Spec
-module Process = Stramash_kernel.Process
 module Plan = Stramash_fault_inject.Plan
 module Fault = Stramash_fault_inject.Fault
-module Audit = Stramash_fault_inject.Audit
-module Stramash_os = Stramash_core.Stramash_os
-module Stramash_fault = Stramash_core.Stramash_fault
-module Global_alloc = Stramash_core.Global_alloc
-module Checkpoint = Stramash_core.Checkpoint
-module W = Stramash_workloads
-module Placement_engine = Stramash_placement.Engine
 
 let default_downtime = Cycles.of_us 40.0
 
@@ -49,38 +39,6 @@ let default =
     cache_mode = Cache_sim.Fast;
     placement = None;
   }
-
-(* Optionally run the campaign with a page-placement engine attached —
-   the placement acceptance gate reruns the kill/restart soak with the
-   adaptive policy live, so degraded collapses and restart reconciles
-   get audited too. *)
-let attach_placement ?policy machine =
-  match policy with
-  | None -> ()
-  | Some policy -> (
-      match Machine.os machine with
-      | Os.Stramash os -> Machine.attach_placement machine (Placement_engine.create ~policy os)
-      | _ -> ())
-
-(* Read the NPB checksum word through whichever kernel still maps it —
-   this is the workload fingerprint that must survive the chaos. *)
-let checksum machine ~proc =
-  List.find_map
-    (fun node ->
-      Machine.read_user machine ~proc ~node ~vaddr:W.Npb_common.checksum_vaddr ~width:8)
-    Node_id.all
-
-(* First cycle at which the baseline run lands the thread on a node other
-   than its origin — the moment that node's page table is coldest, and so
-   the worst possible time for the origin to die. *)
-let far_anchor ~(spec : Spec.t) ~origin (result : Runner.result) =
-  List.fold_left
-    (fun acc (id, cyc) ->
-      match Spec.target_for spec id with
-      | Some node when not (Node_id.equal node origin) -> (
-          match acc with Some c when c <= cyc -> acc | _ -> Some cyc)
-      | _ -> acc)
-    None result.Runner.phase_marks
 
 (* Alternating-node kills with seeded jitter; restarts come [downtime]
    later, clamped so the two nodes are never down at once. When the
@@ -125,36 +83,19 @@ let schedule ~seed ~wall ~kills ~downtime ~origin ~anchor =
 
 let campaign ?(on_metrics = Campaign.no_metrics) fmt
     { seed; bench; kills; downtime; cache_mode; placement } =
-  match Fault_experiments.spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (chaos campaign runs %s)@." bench
-        (String.concat " | " Fault_experiments.benches);
-      Campaign.Unknown_bench
+  match Campaign.spec_of_bench fmt ~campaign:"chaos" bench with
+  | None -> Campaign.Unknown_bench
   | Some spec ->
       (* --- fault-free baseline: the fingerprint the survivors must match *)
-      let baseline =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-          }
-      in
-      attach_placement ?policy:placement baseline;
-      let bproc, bthread = Machine.load baseline spec in
-      let bresult = Runner.run baseline bproc bthread spec in
-      let bchecksum = checksum baseline ~proc:bproc in
-      let origin = bproc.Process.origin in
-      let anchor = far_anchor ~spec ~origin bresult in
-      Machine.exit_process baseline bproc;
+      let base = Campaign.baseline ?policy:placement ~seed ~cache_mode spec in
+      let origin = base.Campaign.origin in
       let events, downtime =
-        schedule ~seed ~wall:bresult.Runner.wall_cycles ~kills ~downtime ~origin ~anchor
+        schedule ~seed ~wall:base.Campaign.wall ~kills ~downtime ~origin
+          ~anchor:base.Campaign.anchor
       in
       Format.fprintf fmt "chaos campaign: bench=%s seed=%Ld kills=%d downtime=%d cycles@." bench
         seed (List.length events) downtime;
-      Format.fprintf fmt "baseline: wall=%d cycles, checksum=%s@." bresult.Runner.wall_cycles
-        (match bchecksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>");
+      Campaign.pp_baseline fmt base;
       List.iter
         (fun (ev : Plan.node_event) ->
           Format.fprintf fmt "  schedule: kill %s at %d, restart +%d@."
@@ -162,45 +103,14 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
             (match ev.Plan.restart_after with Some d -> d | None -> -1))
         events;
       (* --- chaos run *)
-      let config = { Plan.default with Plan.node_events = events } in
-      let machine =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-            inject = Some config;
-          }
-      in
-      attach_placement ?policy:placement machine;
+      let inject = { Plan.default with Plan.node_events = events } in
+      let machine = Campaign.stramash ~seed ~cache_mode ~inject () in
+      Option.iter (fun policy -> ignore (Campaign.attach_placement ~policy machine)) placement;
       let proc, thread = Machine.load machine spec in
-      let env = Machine.env machine in
       let recoveries = ref 0 in
       let dirty_audits = ref 0 in
       let audit_now label =
-        let extra, held, ledger =
-          match Machine.os machine with
-          | Os.Stramash os ->
-              let faults = Stramash_os.faults os in
-              ( [ ("ptl-quiescent", Stramash_fault.ptls_quiescent faults) ],
-                List.map
-                  (fun (f : Checkpoint.futex_image) ->
-                    (f.Checkpoint.f_uaddr, f.Checkpoint.f_tid))
-                  (Stramash_fault.held_waiters faults),
-                Global_alloc.ledger (Stramash_os.global_alloc os) )
-          | _ -> ([], [], [])
-        in
-        let report =
-          Audit.run ~env ~procs:[ proc ] ~threads:(Machine.threads machine) ~held ~ledger
-            ~extra ()
-        in
-        if Audit.is_clean report then
-          Format.fprintf fmt "audit[%s]: clean (%d checks)@." label report.Audit.checks
-        else begin
-          incr dirty_audits;
-          Format.fprintf fmt "audit[%s]: %a" label Audit.pp report
-        end
+        if not (Campaign.audit fmt ~label machine ~proc ()) then incr dirty_audits
       in
       let on_recovery node =
         incr recoveries;
@@ -208,17 +118,9 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
       in
       let run () =
         let result = Runner.run ~on_recovery machine proc thread spec in
-        let chk = checksum machine ~proc in
+        let chk = Campaign.checksum machine ~proc in
         audit_now "final";
-        let mapped = Audit.mapped_frames ~env ~proc in
-        Machine.exit_process machine proc;
-        let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-        if not (Audit.is_clean teardown) then begin
-          incr dirty_audits;
-          Format.fprintf fmt "audit[teardown]: %a" Audit.pp teardown
-        end
-        else
-          Format.fprintf fmt "audit[teardown]: clean (%d frames tracked)@." (List.length mapped);
+        if not (Campaign.teardown fmt ~label:"teardown" machine ~proc) then incr dirty_audits;
         (result, chk)
       in
       let publish_metrics () =
@@ -245,10 +147,7 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
           (match Machine.inject_plan machine with
           | Some plan -> Plan.report fmt plan
           | None -> ());
-          let fingerprint_ok = chk = bchecksum && chk <> None in
-          Format.fprintf fmt "survivor checksum: %s (%s baseline)@."
-            (match chk with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>")
-            (if fingerprint_ok then "matches" else "DIFFERS from");
+          let fingerprint_ok = Campaign.survivor fmt ~label:"survivor" base chk in
           let metrics_ok =
             match Machine.inject_plan machine with
             | Some plan ->

@@ -9,7 +9,7 @@ val default_downtime : int
 
 type config = {
   seed : int64;  (** Schedule jitter and both machines derive from it. *)
-  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  bench : string;  (** One of {!Campaign.benches}. *)
   kills : int;  (** Kill/restart cycles, alternating between the nodes. *)
   downtime : int;  (** Requested cycles down per kill. *)
   cache_mode : Stramash_cache.Cache_sim.mode;
@@ -19,20 +19,6 @@ type config = {
 
 val default : config
 (** Seed [0xC4A05], [is], 3 kills, {!default_downtime}, Fast, no placement. *)
-
-val checksum :
-  Stramash_machine.Machine.t -> proc:Stramash_kernel.Process.t -> int64 option
-(** The NPB checksum word read through whichever kernel still maps it —
-    the workload fingerprint campaigns compare against their baseline. *)
-
-val far_anchor :
-  spec:Stramash_machine.Spec.t ->
-  origin:Stramash_sim.Node_id.t ->
-  Stramash_machine.Runner.result ->
-  int option
-(** First cycle at which a baseline run lands the thread on a node other
-    than its origin — the anchor both the chaos and gray schedules build
-    around. *)
 
 val campaign : ?on_metrics:Campaign.on_metrics -> Format.formatter -> config -> Campaign.verdict
 (** Fingerprint the bench fault-free, then replay it under [kills]

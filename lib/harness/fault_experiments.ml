@@ -13,7 +13,7 @@ module Plan = Stramash_fault_inject.Plan
 module Audit = Stramash_fault_inject.Audit
 module Stramash_os = Stramash_core.Stramash_os
 module Stramash_fault = Stramash_core.Stramash_fault
-module W = Stramash_workloads
+module Cache_sim = Stramash_cache.Cache_sim
 
 let plan_config ?(drop_rate = 0.05) ?(ipi_loss = 0.02) ?(walk_fail = 0.02)
     ?(ptl_timeout = 0.01) ?(alloc_fail = 0.005) () =
@@ -28,32 +28,15 @@ let plan_config ?(drop_rate = 0.05) ?(ipi_loss = 0.02) ?(walk_fail = 0.02)
     alloc_fail_rate = alloc_fail;
   }
 
-(* Small problem sizes: the campaign's point is fault-path coverage, not
-   steady-state performance, and the tests run it twice back to back.
-   The set itself comes from the shared NPB table. *)
-let benches = W.Npb_suite.fig9_names
-
-let spec_of_bench bench = List.assoc_opt bench (W.Npb_suite.fig9_set ~small:true)
-
 type config = { seed : int64; bench : string; plan : Plan.config }
 
 let default = { seed = 0xC0FFEEL; bench = "is"; plan = plan_config () }
 
 let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; plan } =
-  match spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (faults campaign runs is | cg | mg | ft)@." bench;
-      Campaign.Unknown_bench
+  match Campaign.spec_of_bench fmt ~campaign:"faults" bench with
+  | None -> Campaign.Unknown_bench
   | Some spec ->
-      let machine =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            inject = Some plan;
-          }
-      in
+      let machine = Campaign.stramash ~seed ~cache_mode:Cache_sim.Fast ~inject:plan () in
       let proc, thread = Machine.load machine spec in
       let result = Runner.run machine proc thread spec in
       Format.fprintf fmt "faults campaign: bench=%s seed=%Ld@." bench seed;

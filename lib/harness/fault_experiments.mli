@@ -3,12 +3,6 @@
     the §6.4 teardown check. Output is a pure function of
     (seed, bench, config) — same arguments, byte-identical text. *)
 
-val benches : string list
-(** Benchmarks the fault/chaos campaigns accept (small problem sizes). *)
-
-val spec_of_bench : string -> Stramash_machine.Spec.t option
-(** Campaign-sized spec for a {!benches} entry; [None] otherwise. *)
-
 val plan_config :
   ?drop_rate:float ->
   ?ipi_loss:float ->
@@ -22,7 +16,7 @@ val plan_config :
 
 type config = {
   seed : int64;  (** Machine seed; the plan's streams derive from it. *)
-  bench : string;  (** One of {!benches}. *)
+  bench : string;  (** One of {!Campaign.benches}. *)
   plan : Stramash_fault_inject.Plan.config;  (** The armed fault plan. *)
 }
 

@@ -19,15 +19,8 @@ module Metrics = Stramash_sim.Metrics
 module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module Os = Stramash_machine.Os
-module Process = Stramash_kernel.Process
 module Plan = Stramash_fault_inject.Plan
 module Fault = Stramash_fault_inject.Fault
-module Audit = Stramash_fault_inject.Audit
-module Stramash_os = Stramash_core.Stramash_os
-module Stramash_fault = Stramash_core.Stramash_fault
-module Global_alloc = Stramash_core.Global_alloc
-module Checkpoint = Stramash_core.Checkpoint
 
 let default_slow_factor = 3.0
 
@@ -94,7 +87,6 @@ let probe_config { factor; _ } =
     ~flaps:[] ~stalls:[] ~breaker:true
 
 type run_outcome = {
-  r_wall : int;
   r_checksum : int64 option;
   r_dirty : int;
   r_ops : (string * Metrics.Histogram.t) list;
@@ -106,41 +98,10 @@ type run_outcome = {
    teardown, per-op histograms and the plan registry captured before the
    machine is dropped. *)
 let run_one fmt ~label ~seed ~cache_mode ~spec ~config =
-  let machine =
-    Machine.create
-      {
-        Machine.default_config with
-        Machine.os = Machine.Stramash_kernel_os;
-        seed;
-        cache_mode;
-        inject = Some config;
-      }
-  in
+  let machine = Campaign.stramash ~seed ~cache_mode ~inject:config () in
   let proc, thread = Machine.load machine spec in
-  let env = Machine.env machine in
   let dirty = ref 0 in
-  let audit_now alabel =
-    let extra, held, ledger =
-      match Machine.os machine with
-      | Os.Stramash os ->
-          let faults = Stramash_os.faults os in
-          ( [ ("ptl-quiescent", Stramash_fault.ptls_quiescent faults) ],
-            List.map
-              (fun (f : Checkpoint.futex_image) -> (f.Checkpoint.f_uaddr, f.Checkpoint.f_tid))
-              (Stramash_fault.held_waiters faults),
-            Global_alloc.ledger (Stramash_os.global_alloc os) )
-      | _ -> ([], [], [])
-    in
-    let report =
-      Audit.run ~env ~procs:[ proc ] ~threads:(Machine.threads machine) ~held ~ledger ~extra ()
-    in
-    if Audit.is_clean report then
-      Format.fprintf fmt "audit[%s:%s]: clean (%d checks)@." label alabel report.Audit.checks
-    else begin
-      incr dirty;
-      Format.fprintf fmt "audit[%s:%s]: %a" label alabel Audit.pp report
-    end
-  in
+  let audited clean = if not clean then incr dirty in
   let plan_data () =
     match Machine.inject_plan machine with
     | Some plan -> (Plan.op_histograms plan, Some (Plan.metrics plan), Some plan)
@@ -148,25 +109,15 @@ let run_one fmt ~label ~seed ~cache_mode ~spec ~config =
   in
   match
     let result = Runner.run machine proc thread spec in
-    let chk = Chaos_experiments.checksum machine ~proc in
-    audit_now "final";
-    let mapped = Audit.mapped_frames ~env ~proc in
-    Machine.exit_process machine proc;
-    let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-    if not (Audit.is_clean teardown) then begin
-      incr dirty;
-      Format.fprintf fmt "audit[%s:teardown]: %a" label Audit.pp teardown
-    end
-    else
-      Format.fprintf fmt "audit[%s:teardown]: clean (%d frames tracked)@." label
-        (List.length mapped);
+    let chk = Campaign.checksum machine ~proc in
+    audited (Campaign.audit fmt ~label:(label ^ ":final") machine ~proc ());
+    audited (Campaign.teardown fmt ~label:(label ^ ":teardown") machine ~proc);
     (result, chk)
   with
   | exception Fault.Error e ->
       let ops, registry, _ = plan_data () in
       Format.fprintf fmt "%s: unrecovered failure: %s@." label (Fault.to_string e);
       {
-        r_wall = 0;
         r_checksum = None;
         r_dirty = !dirty;
         r_ops = ops;
@@ -180,7 +131,6 @@ let run_one fmt ~label ~seed ~cache_mode ~spec ~config =
         result.Runner.messages;
       (match plan with Some plan -> Plan.report fmt plan | None -> ());
       {
-        r_wall = result.Runner.wall_cycles;
         r_checksum = chk;
         r_dirty = !dirty;
         r_ops = ops;
@@ -207,34 +157,17 @@ let pp_op_row fmt name off on =
   Format.fprintf fmt "  %-12s off: %-44s on: %s@." name (cell off) (cell on)
 
 let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; factor; cache_mode } =
-  match Fault_experiments.spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (gray campaign runs %s)@." bench
-        (String.concat " | " Fault_experiments.benches);
-      Campaign.Unknown_bench
+  match Campaign.spec_of_bench fmt ~campaign:"gray" bench with
+  | None -> Campaign.Unknown_bench
   | Some spec ->
       (* --- fault-free baseline: wall + checksum fingerprint + anchor *)
-      let baseline =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-          }
-      in
-      let bproc, bthread = Machine.load baseline spec in
-      let bresult = Runner.run baseline bproc bthread spec in
-      let bchecksum = Chaos_experiments.checksum baseline ~proc:bproc in
-      let origin = bproc.Process.origin in
-      let anchor = Chaos_experiments.far_anchor ~spec ~origin bresult in
-      Machine.exit_process baseline bproc;
+      let base = Campaign.baseline ~seed ~cache_mode spec in
+      let origin = base.Campaign.origin in
       let slow, flaps, stalls, start, len =
-        schedule ~seed ~wall:bresult.Runner.wall_cycles ~origin ~anchor ~factor
+        schedule ~seed ~wall:base.Campaign.wall ~origin ~anchor:base.Campaign.anchor ~factor
       in
       Format.fprintf fmt "gray campaign: bench=%s seed=%Ld factor=%.1f@." bench seed factor;
-      Format.fprintf fmt "baseline: wall=%d cycles, checksum=%s@." bresult.Runner.wall_cycles
-        (match bchecksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>");
+      Campaign.pp_baseline fmt base;
       Format.fprintf fmt
         "  schedule: slow %s [%d, %d) x%.1f; ptl stall +%d cycles; flap burst before@."
         (Node_id.to_string origin) start (start + len) factor (Cycles.of_us 25.0);
@@ -269,17 +202,12 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; factor; cach
             Format.fprintf fmt "fault p99: no samples in one of the runs@.";
             false
       in
-      let fingerprint_ok run = run.r_checksum = bchecksum && run.r_checksum <> None in
-      List.iter
-        (fun (label, run) ->
-          Format.fprintf fmt "%s checksum: %s (%s baseline)@." label
-            (match run.r_checksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>")
-            (if fingerprint_ok run then "matches" else "DIFFERS from"))
-        [ ("breaker-off", off); ("breaker-on", on) ];
+      let off_ok = Campaign.survivor fmt ~label:"breaker-off" base off.r_checksum in
+      let on_ok = Campaign.survivor fmt ~label:"breaker-on" base on.r_checksum in
       let verdict =
         if off.r_error <> None || on.r_error <> None then Campaign.Unrecovered
         else if
-          off.r_dirty = 0 && on.r_dirty = 0 && fingerprint_ok off && fingerprint_ok on
+          off.r_dirty = 0 && on.r_dirty = 0 && off_ok && on_ok
           && trips >= 1 && fallbacks >= 1 && p99_verdict
         then Clean
         else Violations

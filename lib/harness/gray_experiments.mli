@@ -7,7 +7,7 @@ val default_slow_factor : float
 
 type config = {
   seed : int64;  (** The gray schedule's jitter and both machines derive from it. *)
-  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  bench : string;  (** One of {!Campaign.benches}. *)
   factor : float;  (** Service-time inflation inside the slow window (>= 1). *)
   cache_mode : Stramash_cache.Cache_sim.mode;
 }

@@ -24,18 +24,10 @@ module Metrics = Stramash_sim.Metrics
 module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module Os = Stramash_machine.Os
-module Process = Stramash_kernel.Process
 module Plan = Stramash_fault_inject.Plan
 module Fault = Stramash_fault_inject.Fault
-module Audit = Stramash_fault_inject.Audit
 module Integrity = Stramash_fault_inject.Integrity
-module Stramash_os = Stramash_core.Stramash_os
-module Stramash_fault = Stramash_core.Stramash_fault
-module Global_alloc = Stramash_core.Global_alloc
-module Checkpoint = Stramash_core.Checkpoint
 module Env = Stramash_kernel.Env
-module Placement_engine = Stramash_placement.Engine
 module Policy = Stramash_placement.Policy
 
 let default_flips = 6
@@ -47,11 +39,7 @@ let default_pte_rate = 0.002
    cross-node read (adaptive only promotes read-hot pages, which leaves
    is/mg/ft with an empty roster), so every machine in this campaign
    runs with the shm policy attached. *)
-let attach machine =
-  match Machine.os machine with
-  | Os.Stramash os ->
-      Machine.attach_placement machine (Placement_engine.create ~policy:Policy.Static_shm os)
-  | _ -> ()
+let policy = Policy.Static_shm
 
 (* Bit-flip schedule: spread over [start, wall) with seeded jitter,
    alternating the preferred owner node, 1-2 bits per strike. The start
@@ -136,40 +124,21 @@ let probe_config { flips; msg_rate; pte_rate; _ } =
 
 let campaign ?(on_metrics = Campaign.no_metrics) fmt
     { seed; bench; flips; msg_rate; pte_rate; kills; cache_mode } =
-  match Fault_experiments.spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (scrub campaign runs %s)@." bench
-        (String.concat " | " Fault_experiments.benches);
-      Campaign.Unknown_bench
+  match Campaign.spec_of_bench fmt ~campaign:"scrub" bench with
+  | None -> Campaign.Unknown_bench
   | Some spec ->
       (* --- corruption-free baseline: fingerprint + schedule anchor *)
-      let baseline =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-          }
-      in
-      attach baseline;
-      let bproc, bthread = Machine.load baseline spec in
-      let bresult = Runner.run baseline bproc bthread spec in
-      let bchecksum = Chaos_experiments.checksum baseline ~proc:bproc in
-      let origin = bproc.Process.origin in
-      let anchor = Chaos_experiments.far_anchor ~spec ~origin bresult in
-      Machine.exit_process baseline bproc;
-      let wall = bresult.Runner.wall_cycles in
+      let base = Campaign.baseline ~policy ~seed ~cache_mode spec in
+      let wall = base.Campaign.wall and anchor = base.Campaign.anchor in
       let flip_events = schedule ~seed ~wall ~anchor ~flips in
-      let kill_events = kill_schedule ~seed ~wall ~origin ~anchor ~kills in
+      let kill_events = kill_schedule ~seed ~wall ~origin:base.Campaign.origin ~anchor ~kills in
       let config =
         scrub_config ~flips:flip_events ~msg_rate ~pte_rate ~events:kill_events
       in
       Format.fprintf fmt
         "scrub campaign: bench=%s seed=%Ld flips=%d msg-rate=%.4f pte-rate=%.4f kills=%d@."
         bench seed flips msg_rate pte_rate (List.length kill_events);
-      Format.fprintf fmt "baseline: wall=%d cycles, checksum=%s@." wall
-        (match bchecksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>");
+      Campaign.pp_baseline fmt base;
       List.iter
         (fun (bf : Plan.bit_flip) ->
           Format.fprintf fmt "  schedule: flip %d bit%s near node %d at %d@." bf.Plan.bf_bits
@@ -183,17 +152,8 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
             (match ev.Plan.restart_after with Some d -> d | None -> -1))
         kill_events;
       (* --- instrumented run *)
-      let machine =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-            inject = Some config;
-          }
-      in
-      attach machine;
+      let machine = Campaign.stramash ~seed ~cache_mode ~inject:config () in
+      ignore (Campaign.attach_placement ~policy machine);
       let proc, thread = Machine.load machine spec in
       let env = Machine.env machine in
       let recoveries = ref 0 in
@@ -201,39 +161,8 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
       let integrity_store () =
         match Machine.inject_plan machine with Some plan -> Plan.integrity plan | None -> None
       in
-      let audit_now ?(fingerprints = false) label =
-        let extra, held, ledger =
-          match Machine.os machine with
-          | Os.Stramash os ->
-              let faults = Stramash_os.faults os in
-              ( [ ("ptl-quiescent", Stramash_fault.ptls_quiescent faults) ],
-                List.map
-                  (fun (f : Checkpoint.futex_image) ->
-                    (f.Checkpoint.f_uaddr, f.Checkpoint.f_tid))
-                  (Stramash_fault.held_waiters faults),
-                Global_alloc.ledger (Stramash_os.global_alloc os) )
-          | _ -> ([], [], [])
-        in
-        (* the fingerprint proof runs only after the shutdown sweep —
-           mid-run a flip may legitimately still be latent *)
-        let extra =
-          if fingerprints then
-            match integrity_store () with
-            | Some st ->
-                ("integrity-fingerprints", Integrity.audit_clean st env.Env.phys) :: extra
-            | None -> extra
-          else extra
-        in
-        let report =
-          Audit.run ~env ~procs:[ proc ] ~threads:(Machine.threads machine) ~held ~ledger
-            ~extra ()
-        in
-        if Audit.is_clean report then
-          Format.fprintf fmt "audit[%s]: clean (%d checks)@." label report.Audit.checks
-        else begin
-          incr dirty_audits;
-          Format.fprintf fmt "audit[%s]: %a" label Audit.pp report
-        end
+      let audit_now ?extra label =
+        if not (Campaign.audit fmt ~label machine ~proc ?extra ()) then incr dirty_audits
       in
       let on_recovery node =
         incr recoveries;
@@ -252,18 +181,15 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
               (List.length s.Integrity.ts_repairs)
               s.Integrity.ts_unrepaired
         | None -> ());
-        let chk = Chaos_experiments.checksum machine ~proc in
-        audit_now ~fingerprints:true "final";
-        let mapped = Audit.mapped_frames ~env ~proc in
-        Machine.exit_process machine proc;
-        let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-        if not (Audit.is_clean teardown) then begin
-          incr dirty_audits;
-          Format.fprintf fmt "audit[teardown]: %a" Audit.pp teardown
-        end
-        else
-          Format.fprintf fmt "audit[teardown]: clean (%d frames tracked)@."
-            (List.length mapped);
+        let chk = Campaign.checksum machine ~proc in
+        (* the fingerprint proof runs only after the shutdown sweep —
+           mid-run a flip may legitimately still be latent *)
+        audit_now "final"
+          ?extra:
+            (Option.map
+               (fun st -> [ ("integrity-fingerprints", Integrity.audit_clean st env.Env.phys) ])
+               (integrity_store ()));
+        if not (Campaign.teardown fmt ~label:"teardown" machine ~proc) then incr dirty_audits;
         (result, chk)
       in
       let publish () =
@@ -309,10 +235,7 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt
             (Metrics.get reg "corruption.detection_latency_cycles")
             (Metrics.get reg "scrub.pages_scanned")
             (Metrics.get reg "scrub.epochs");
-          let fingerprint_ok = chk = bchecksum && chk <> None in
-          Format.fprintf fmt "survivor checksum: %s (%s baseline)@."
-            (match chk with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>")
-            (if fingerprint_ok then "matches" else "DIFFERS from");
+          ignore (Campaign.survivor fmt ~label:"survivor" base chk);
           publish ();
           (* All injected corruption detected; everything healed without
              loss; of the corruptions a replica could heal (everything

@@ -12,7 +12,7 @@ val default_pte_rate : float
 
 type config = {
   seed : int64;  (** Corruption/kill schedules and the machines derive from it. *)
-  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  bench : string;  (** One of {!Campaign.benches}. *)
   flips : int;  (** Page bit-flip events spread over the run. *)
   msg_rate : float;  (** Per-message corruption probability (half truncate). *)
   pte_rate : float;  (** Per-install stale-PTE probability. *)

@@ -15,46 +15,17 @@ module Metrics = Stramash_sim.Metrics
 module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module Os = Stramash_machine.Os
-module Process = Stramash_kernel.Process
-module Audit = Stramash_fault_inject.Audit
-module Checkpoint = Stramash_core.Checkpoint
-module Stramash_os = Stramash_core.Stramash_os
-module Stramash_fault = Stramash_core.Stramash_fault
-module Global_alloc = Stramash_core.Global_alloc
 module Engine = Stramash_placement.Engine
 module Policy = Stramash_placement.Policy
 module W = Stramash_workloads
 
 let default_seed = 0x91ACEL
 
-(* Full-size NPB specs (as in Figs. 9-10): the CG crossover only shows at
-   class size — the small fault-campaign specs amortise too few remote
-   misses for SHM's replicate-always to win. The verdict campaign keeps
-   the small specs so CI stays quick. *)
-let full_spec_of_bench = function
-  | "is" -> Some (W.Npb_is.spec ())
-  | "cg" -> Some (W.Npb_cg.spec ())
-  | "mg" -> Some (W.Npb_mg.spec ())
-  | "ft" -> Some (W.Npb_ft.spec ())
-  | _ -> None
-
-let attach ?epoch ~policy machine =
-  match Machine.os machine with
-  | Os.Stramash os ->
-      let engine = Engine.create ?epoch ~policy os in
-      Machine.attach_placement machine engine;
-      engine
-  | _ -> invalid_arg "placement: the engine requires the Stramash personality"
-
 (* One seeded Stramash run under [policy]; the engine is attached before
    load so the write hook covers the whole lifetime. *)
 let run_policy ?(seed = default_seed) ?(cache_mode = Cache_sim.Fast) ?epoch ~policy spec =
-  let machine =
-    Machine.create
-      { Machine.default_config with Machine.os = Machine.Stramash_kernel_os; seed; cache_mode }
-  in
-  let engine = attach ?epoch ~policy machine in
+  let machine = Campaign.stramash ~seed ~cache_mode () in
+  let engine = Campaign.attach_placement ?epoch ~policy machine in
   let proc, thread = Machine.load machine spec in
   let result = Runner.run machine proc thread spec in
   (machine, engine, proc, result)
@@ -86,65 +57,41 @@ let crossover fmt =
       ~columns:
         [ "bench"; "shm wall (ms)"; "static-stramash"; "adaptive"; "static-shm"; "adaptive acts" ]
   in
+  (* Full-size NPB specs (as in Figs. 9-10): the CG crossover only shows
+     at class size — the small campaign specs amortise too few remote
+     misses for SHM's replicate-always to win. The verdict campaign keeps
+     the small specs so CI stays quick. *)
   List.iter
-    (fun bench ->
-      match full_spec_of_bench bench with
-      | None -> ()
-      | Some spec ->
-          let shm = run_shm spec in
-          let cells =
-            List.map
-              (fun policy ->
-                let machine, engine, proc, result = run_policy ~policy spec in
-                let counters = Engine.counters engine in
-                Machine.exit_process machine proc;
-                (policy, { wall = result.Runner.wall_cycles; counters }))
-              policies
-          in
-          let speedup policy =
-            let c = List.assoc policy cells in
-            Report.cell_x (float_of_int shm.Runner.wall_cycles /. float_of_int c.wall)
-          in
-          let a = List.assoc Policy.Adaptive cells in
-          Report.add_row r
-            [
-              bench;
-              Report.cell_f (Cycles.to_ms shm.Runner.wall_cycles);
-              speedup Policy.Static_stramash;
-              speedup Policy.Adaptive;
-              speedup Policy.Static_shm;
-              Printf.sprintf "%dR/%dC/%dM"
-                (counter a.counters "placement.replications")
-                (counter a.counters "placement.collapses")
-                (counter a.counters "placement.migrations");
-            ])
-    Fault_experiments.benches;
+    (fun (bench, spec) ->
+      let shm = run_shm spec in
+      let cells =
+        List.map
+          (fun policy ->
+            let machine, engine, proc, result = run_policy ~policy spec in
+            let counters = Engine.counters engine in
+            Machine.exit_process machine proc;
+            (policy, { wall = result.Runner.wall_cycles; counters }))
+          policies
+      in
+      let speedup policy =
+        let c = List.assoc policy cells in
+        Report.cell_x (float_of_int shm.Runner.wall_cycles /. float_of_int c.wall)
+      in
+      let a = List.assoc Policy.Adaptive cells in
+      Report.add_row r
+        [
+          bench;
+          Report.cell_f (Cycles.to_ms shm.Runner.wall_cycles);
+          speedup Policy.Static_stramash;
+          speedup Policy.Adaptive;
+          speedup Policy.Static_shm;
+          Printf.sprintf "%dR/%dC/%dM"
+            (counter a.counters "placement.replications")
+            (counter a.counters "placement.collapses")
+            (counter a.counters "placement.migrations");
+        ])
+    (W.Npb_suite.fig9_set ~small:false);
   Report.print fmt r
-
-(* Kernel invariant audit with the Stramash-specific extras, same shape
-   as the chaos campaign's. *)
-let audit_now fmt machine ~proc ~dirty label =
-  let env = Machine.env machine in
-  let extra, held, ledger =
-    match Machine.os machine with
-    | Os.Stramash os ->
-        let faults = Stramash_os.faults os in
-        ( [ ("ptl-quiescent", Stramash_fault.ptls_quiescent faults) ],
-          List.map
-            (fun (f : Checkpoint.futex_image) -> (f.Checkpoint.f_uaddr, f.Checkpoint.f_tid))
-            (Stramash_fault.held_waiters faults),
-          Global_alloc.ledger (Stramash_os.global_alloc os) )
-    | _ -> ([], [], [])
-  in
-  let report =
-    Audit.run ~env ~procs:[ proc ] ~threads:(Machine.threads machine) ~held ~ledger ~extra ()
-  in
-  if Audit.is_clean report then
-    Format.fprintf fmt "audit[%s]: clean (%d checks)@." label report.Audit.checks
-  else begin
-    incr dirty;
-    Format.fprintf fmt "audit[%s]: %a" label Audit.pp report
-  end
 
 (* Fingerprint of a run for the determinism and Paranoid cross-checks:
    everything the placement engine could perturb. *)
@@ -169,16 +116,14 @@ let default =
   }
 
 let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; policy; epoch; cache_mode } =
-  match Fault_experiments.spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (placement campaign runs %s)@." bench
-        (String.concat " | " Fault_experiments.benches);
-      Campaign.Unknown_bench
+  match Campaign.spec_of_bench fmt ~campaign:"placement" bench with
+  | None -> Campaign.Unknown_bench
   | Some spec ->
       Format.fprintf fmt "placement campaign: bench=%s policy=%s seed=%Ld epoch=%s@." bench
         (Policy.to_string policy) seed
         (match epoch with Some e -> string_of_int e | None -> "default");
       let dirty = ref 0 in
+      let audited clean = if not clean then incr dirty in
       let run cache_mode =
         let machine, engine, proc, result = run_policy ~seed ~cache_mode ?epoch ~policy spec in
         let counters = Engine.counters engine in
@@ -195,18 +140,8 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; policy; epoc
           Format.fprintf fmt "run: wall=%d cycles, %d instructions, %d migrations@."
             result.Runner.wall_cycles result.Runner.instructions result.Runner.migrations;
           List.iter (fun (k, v) -> Format.fprintf fmt "  %s = %d@." k v) counters;
-          audit_now fmt machine ~proc ~dirty "final";
-          let env = Machine.env machine in
-          let mapped = Audit.mapped_frames ~env ~proc in
-          Machine.exit_process machine proc;
-          let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-          if Audit.is_clean teardown then
-            Format.fprintf fmt "audit[teardown]: clean (%d frames tracked)@."
-              (List.length mapped)
-          else begin
-            incr dirty;
-            Format.fprintf fmt "audit[teardown]: %a" Audit.pp teardown
-          end;
+          audited (Campaign.audit fmt ~label:"final" machine ~proc ());
+          audited (Campaign.teardown fmt ~label:"teardown" machine ~proc);
           (* Same seed, same arguments: the decision stream must replay
              byte-identically. *)
           let machine2, proc2, result2, counters2 = run cache_mode in
@@ -226,7 +161,7 @@ let campaign ?(on_metrics = Campaign.no_metrics) fmt { seed; bench; policy; epoc
                   Format.fprintf fmt "paranoid divergence: %s@." msg;
                   false
               | machine3, proc3, result3, counters3 ->
-                  audit_now fmt machine3 ~proc:proc3 ~dirty "paranoid";
+                  audited (Campaign.audit fmt ~label:"paranoid" machine3 ~proc:proc3 ());
                   Machine.exit_process machine3 proc3;
                   fingerprint result counters = fingerprint result3 counters3
           in

@@ -3,15 +3,6 @@
     campaign behind the `place` CLI subcommand (determinism replay,
     Paranoid cross-check, kernel invariant audit, teardown sweep). *)
 
-val attach :
-  ?epoch:int ->
-  policy:Stramash_placement.Policy.t ->
-  Stramash_machine.Machine.t ->
-  Stramash_placement.Engine.t
-(** Create an engine on the machine's Stramash personality and attach it
-    (must precede the first [load]). Raises [Invalid_argument] on any
-    other personality. *)
-
 val run_policy :
   ?seed:int64 ->
   ?cache_mode:Stramash_cache.Cache_sim.mode ->
@@ -33,16 +24,12 @@ val run_shm :
 (** The Popcorn-SHM reference run the crossover (and the bench harness)
     normalises against. *)
 
-val full_spec_of_bench : string -> Stramash_machine.Spec.t option
-(** Full-size NPB specs (as in Figs. 9-10); the small campaign specs
-    live in {!Fault_experiments.spec_of_bench}. *)
-
 val crossover : Format.formatter -> unit
 (** The adaptive-vs-static table over is/cg/mg/ft. *)
 
 type config = {
   seed : int64;  (** Machine seed; placement decisions derive from the seeded run. *)
-  bench : string;  (** One of {!Fault_experiments.benches}. *)
+  bench : string;  (** One of {!Campaign.benches}. *)
   policy : Stramash_placement.Policy.t;
   epoch : int option;  (** Quanta per placement epoch; [None] = engine default. *)
   cache_mode : Stramash_cache.Cache_sim.mode;

@@ -202,7 +202,7 @@ let fig8_run () =
       Trace.attach trace cache;
       let proc, thread = Machine.load machine spec in
       ignore (Runner.run machine proc thread spec);
-      Cache_sim.set_probe cache None;
+      Cache_sim.clear_probes cache;
       let ruby = Ruby_ref.create (Cache_sim.config cache) in
       Trace.replay_into_ruby trace ruby;
       (name, cache, ruby, Trace.length trace))

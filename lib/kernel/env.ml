@@ -12,6 +12,19 @@ type t = {
   liveness : Stramash_sim.Liveness.t;
 }
 
+let create cache =
+  let phys = Stramash_mem.Phys_mem.create () in
+  let kernels = [| Kernel.boot ~node:Node_id.X86 ~phys; Kernel.boot ~node:Node_id.Arm ~phys |] in
+  {
+    cache;
+    phys;
+    kernels;
+    meters = [| Meter.create (); Meter.create () |];
+    tlbs = [| Tlb.create (); Tlb.create () |];
+    hw_model = (Cache_sim.config cache).Stramash_cache.Config.hw_model;
+    liveness = Stramash_sim.Liveness.create ();
+  }
+
 let kernel t node = t.kernels.(Node_id.index node)
 let node_alive t node = Stramash_sim.Liveness.is_alive t.liveness node
 let node_epoch t node = Stramash_sim.Liveness.epoch t.liveness node

@@ -18,6 +18,11 @@ type t = {
           runs without a chaos schedule) *)
 }
 
+val create : Stramash_cache.Cache_sim.t -> t
+(** A fresh two-node environment around [cache]: empty physical memory,
+    both kernels booted, zeroed meters, empty TLBs, every node alive, and
+    the hardware model of the cache's own config. *)
+
 val kernel : t -> Stramash_sim.Node_id.t -> Kernel.t
 val node_alive : t -> Stramash_sim.Node_id.t -> bool
 val node_epoch : t -> Stramash_sim.Node_id.t -> int

@@ -43,33 +43,21 @@ let view t =
 
 let slot t vpage = vpage land (t.size - 1)
 
-let lookup t ~asid ~vpage =
-  let s = slot t vpage in
-  if t.vpages.(s) = vpage && t.asids.(s) = asid then begin
-    incr t.hits;
-    Some t.entries.(s)
-  end
-  else begin
-    incr t.misses;
-    None
-  end
-
 (* Fused translation fast path. The fused cache collapses onto the TLB's
    own flat arrays: an entry is only usable when the TLB itself would hit
    (otherwise hit/miss counts and charged walks would diverge from the
    reference path), and a direct-mapped TLB holds at most one live entry
    per slot — so a separate memo array can never hold more live state than
    the TLB storage itself. [translate] is that collapse: one slot probe,
-   the permission check fused in, no [option] allocation, and hit/miss
-   accounting identical to composing {!lookup} with the caller's
-   writability match.
+   the permission check fused in, no [option] allocation: a probe of a
+   slot holding (asid, vpage) counts one hit, any other probe one miss.
 
    Returns the frame (>= 0) on a usable hit; [miss] (-1) when the slot
    does not hold (asid, vpage) — a miss is counted and the caller walks
    and {!insert}s; [not_writable] (-2) when the entry is present but
-   read-only and [write] is set — a HIT is counted (the reference path's
-   {!lookup} counted one before rejecting the entry) and the caller must
-   proceed straight to the walk without re-probing. *)
+   read-only and [write] is set — a HIT is counted (the slot did hold
+   the translation) and the caller must proceed straight to the walk
+   without re-probing. *)
 let miss = -1
 let not_writable = -2
 

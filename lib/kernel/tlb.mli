@@ -29,7 +29,6 @@ val create : ?entries:int -> unit -> t
 
 val view : t -> view
 
-val lookup : t -> asid:int -> vpage:int -> entry option
 val insert : t -> asid:int -> vpage:int -> entry -> unit
 
 val miss : int
@@ -37,15 +36,15 @@ val miss : int
 
 val not_writable : int
 (** -2: entry present but read-only while [write] was requested; a hit was
-    counted, exactly as {!lookup} followed by a writability check would. *)
+    counted, since the slot did hold the translation. *)
 
 val translate : t -> asid:int -> vpage:int -> write:bool -> int
-(** Allocation-free fused fast path for the per-instruction translation:
-    one direct-mapped probe with the permission check folded in. Returns
-    the frame ([>= 0]), {!miss}, or {!not_writable}. Hit/miss counters
-    advance identically to {!lookup} composed with the caller's
-    writability match, which is what keeps fast-path runs bit-identical
-    to the reference path. *)
+(** The one TLB probe: a direct-mapped lookup with the permission check
+    folded in, allocating nothing. Returns the frame ([>= 0]), {!miss},
+    or {!not_writable}. Each call advances exactly one of {!hits} and
+    {!misses}, whichever path (fused fast path or slow walk-and-retry)
+    makes it, which keeps fast-path runs bit-identical to the
+    reference path. *)
 
 val flush_page : t -> vpage:int -> unit
 (** Drop any entry for this virtual page, regardless of ASID (a

@@ -8,13 +8,11 @@ module Cache_config = Stramash_cache.Config
 module Cache_sim = Stramash_cache.Cache_sim
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Tlb = Stramash_kernel.Tlb
 module Vma = Stramash_kernel.Vma
 module Pte = Stramash_kernel.Pte
 module Page_table = Stramash_kernel.Page_table
 module Process = Stramash_kernel.Process
 module Thread = Stramash_kernel.Thread
-module Mir = Stramash_isa.Mir
 module Codegen = Stramash_isa.Codegen
 module Machine_code = Stramash_isa.Machine
 module Interp = Stramash_isa.Interp
@@ -89,21 +87,7 @@ let create cfg =
   in
   let cache = Cache_sim.create cache_cfg in
   Cache_sim.set_mode cache cfg.cache_mode;
-  let phys = Phys_mem.create () in
-  let kernels =
-    [| Kernel.boot ~node:Node_id.X86 ~phys; Kernel.boot ~node:Node_id.Arm ~phys |]
-  in
-  let env =
-    {
-      Env.cache;
-      phys;
-      kernels;
-      meters = [| Meter.create (); Meter.create () |];
-      tlbs = [| Tlb.create (); Tlb.create () |];
-      hw_model = cfg.hw_model;
-      liveness = Stramash_sim.Liveness.create ();
-    }
-  in
+  let env = Env.create cache in
   (* The plan's streams derive from a seed decorrelated from — but fully
      determined by — the machine seed, so arming injection never perturbs
      the workload RNG and the whole run stays replayable from cfg. *)
@@ -146,7 +130,7 @@ let create cfg =
   (match Option.map Plan.integrity inject_plan with
   | Some (Some st) ->
       Quantum.add t.quantum (fun ~now ->
-          let s = Integrity.tick st phys ~now in
+          let s = Integrity.tick st env.Env.phys ~now in
           let scan = s.Integrity.ts_scanned * Integrity.scan_cost_cycles in
           if scan > 0 then begin
             Meter.add (Env.meter env Node_id.X86) ((scan + 1) / 2);

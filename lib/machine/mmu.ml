@@ -47,9 +47,8 @@ let create machine proc ~node =
 let max_fault_retries = 4
 
 (* Slow translation path: charged page-table walk, then the OS fault
-   handler, then retry. Each retry re-enters [Tlb.translate] so the TLB
-   hit/miss accounting is identical to the pre-fast-path runner (which
-   re-probed via [Tlb.lookup] on every pass of its recursion). *)
+   handler, then retry. Each retry re-enters [Tlb.translate], so every
+   pass of the recursion counts one TLB probe. *)
 let rec translate_slow t vaddr ~write ~retries =
   match Page_table.walk t.mm.Process.pgtable t.io ~vaddr with
   | Some (frame, flags) when (not write) || flags.Pte.writable ->

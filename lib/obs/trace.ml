@@ -78,6 +78,30 @@ type t = {
   drops : (string, int) Hashtbl.t; (* subsys -> events lost to ring overflow *)
 }
 
+(* Every name the instrumented layers pass as [~subsys], sorted. A
+   tier-1 test traces real runs and checks each recorded subsystem is
+   listed, so adding instrumentation under a new name fails loudly. *)
+let known_subsystems =
+  [
+    "chaos";
+    "checkpoint";
+    "dsm";
+    "fault";
+    "futex";
+    "heartbeat";
+    "interconnect";
+    "ipi";
+    "migrate";
+    "msg";
+    "page_table";
+    "placement";
+    "ptl";
+    "remote_walker";
+    "runner";
+    "serve";
+    "stramash_fault";
+  ]
+
 let create ?(capacity = 65536) ?(filter = []) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   {

@@ -51,9 +51,14 @@ type event = {
   ev_tags : (string * string) list;
 }
 
+val known_subsystems : string list
+(** Every subsystem name the simulator records under, sorted — what a
+    user-facing [--trace-filter] may name. *)
+
 val create : ?capacity:int -> ?filter:string list -> unit -> t
 (** [create ()] makes a tracer with a 65536-event ring. [filter] restricts
-    recording to the named subsystems ([[]] records everything).
+    recording to the named subsystems ([[]] records everything); any
+    name is accepted, {!known_subsystems} or not.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 (** {1 Global tracer} *)

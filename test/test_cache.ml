@@ -186,7 +186,7 @@ let test_writeback_counted () =
 let test_writeback_hook_fires () =
   let c = fresh () in
   let fired = ref 0 in
-  Cache_sim.set_writeback_hook c (Some (fun _node ~line:_ -> incr fired));
+  Cache_sim.add_writeback_hook c (fun _node ~line:_ -> incr fired);
   let cfg = Cache_sim.config c in
   let l3_lines = cfg.Config.l3.Config.size / 64 in
   for i = 0 to 63 do
@@ -244,7 +244,7 @@ let prop_ruby_agreement =
         in
         ignore (Cache_sim.access c ~node kind ~paddr)
       done;
-      Cache_sim.set_probe c None;
+      Cache_sim.clear_probes c;
       let ruby = Ruby_ref.create (Cache_sim.config c) in
       Trace.replay_into_ruby trace ruby;
       List.for_all
@@ -341,7 +341,7 @@ let test_access_allocates_nothing hw mode () =
   let c = fresh ~hw () in
   Cache_sim.set_mode c mode;
   let fired = ref 0 in
-  Cache_sim.set_writeback_hook c (Some (fun _node ~line:_ -> incr fired));
+  Cache_sim.add_writeback_hook c (fun _node ~line:_ -> incr fired);
   let ((_, _, addrs) as stream) = alloc_stream ~seed:11L in
   (* warm-up: every table reaches its steady-state size *)
   replay c stream;

@@ -6,17 +6,13 @@
 
 module Node_id = Stramash_sim.Node_id
 module Liveness = Stramash_sim.Liveness
-module Meter = Stramash_sim.Meter
-module Cycles = Stramash_sim.Cycles
 module Metrics = Stramash_sim.Metrics
 module Addr = Stramash_mem.Addr
 module Layout = Stramash_mem.Layout
-module Phys_mem = Stramash_mem.Phys_mem
 module Cache_config = Stramash_cache.Config
 module Cache_sim = Stramash_cache.Cache_sim
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Tlb = Stramash_kernel.Tlb
 module Vma = Stramash_kernel.Vma
 module Process = Stramash_kernel.Process
 module Thread = Stramash_kernel.Thread
@@ -33,7 +29,6 @@ module Plan = Stramash_fault_inject.Plan
 module Audit = Stramash_fault_inject.Audit
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module FE = Stramash_harness.Fault_experiments
 module CE = Stramash_harness.Chaos_experiments
 module Campaign = Stramash_harness.Campaign
 module B = Stramash_isa.Builder
@@ -46,18 +41,7 @@ let x86 = Node_id.X86
 let arm = Node_id.Arm
 let vaddr0 = 0x10000000
 
-let make_env () =
-  let cache = Cache_sim.create (Cache_config.default Layout.Shared) in
-  let phys = Phys_mem.create () in
-  {
-    Env.cache;
-    phys;
-    kernels = [| Kernel.boot ~node:x86 ~phys; Kernel.boot ~node:arm ~phys |];
-    meters = [| Meter.create (); Meter.create () |];
-    tlbs = [| Tlb.create (); Tlb.create () |];
-    hw_model = Layout.Shared;
-    liveness = Liveness.create ();
-  }
+let make_env () = Env.create (Cache_sim.create (Cache_config.default Layout.Shared))
 
 let trivial_mir () =
   let b = B.create () in
@@ -338,7 +322,7 @@ let test_audit_catches_ledger_inconsistency () =
 (* ---------- unrecovered failure: kill with no restart ---------- *)
 
 let test_kill_without_restart_is_unrecovered () =
-  let spec = Option.get (FE.spec_of_bench "is") in
+  let spec = List.assoc "is" (Stramash_workloads.Npb_suite.fig9_set ~small:true) in
   let config =
     { Plan.default with Plan.node_events = [ ev x86 1000 None ] }
   in
@@ -366,11 +350,17 @@ let contains out sub =
   let rec go i = i + m <= n && (String.sub out i m = sub || go (i + 1)) in
   go 0
 
+(* Rendered-output pin: the MD5 of the whole campaign text. It moves only
+   when a simulated number or a printed line changes on purpose (like
+   test_serve's golden pin); a refactor of the campaign plumbing must
+   leave it alone. *)
 let test_chaos_campaign_deterministic () =
   let v1, out1 = render_chaos ~seed:42L in
   let v2, out2 = render_chaos ~seed:42L in
   checkb "clean verdict" true (v1 = Campaign.Clean && v2 = Campaign.Clean);
   Alcotest.(check string) "byte-identical output" out1 out2;
+  Alcotest.(check string) "output pin" "83cf7190f6f311dade4b702f30f8b2cf"
+    (Digest.to_hex (Digest.string out1));
   checkb "kills actually happened" true (contains out1 "chaos.x86.deaths");
   checkb "degraded walks exercised" true (contains out1 "chaos.degraded_walks");
   checkb "downtime metered" true (contains out1 "chaos.downtime_cycles");

@@ -29,7 +29,7 @@ let run_cell bench () =
   ( result.Runner.wall_cycles,
     result.Runner.instructions,
     result.Runner.messages,
-    CE.checksum machine ~proc )
+    Campaign.checksum machine ~proc )
 
 let test_domain_identity_npb () =
   let cells = Array.of_list [ "is"; "cg"; "is"; "cg" ] in

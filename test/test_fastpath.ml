@@ -150,8 +150,8 @@ let test_translate_matches_lookup () =
   let t = Tlb.create () in
   Tlb.insert t ~asid:1 ~vpage:42 { Tlb.frame = 7; writable = false };
   checki "read hit returns frame" 7 (Tlb.translate t ~asid:1 ~vpage:42 ~write:false);
-  (* a write against a read-only entry is a *hit* (the reference counted it
-     via lookup) that the caller must resolve with a walk *)
+  (* a write against a read-only entry is a *hit* (the slot holds the
+     translation) that the caller must resolve with a walk *)
   checki "write on read-only entry" Tlb.not_writable (Tlb.translate t ~asid:1 ~vpage:42 ~write:true);
   checki "wrong asid misses" Tlb.miss (Tlb.translate t ~asid:2 ~vpage:42 ~write:false);
   checki "hits counted" 2 (Tlb.hits t);
@@ -167,25 +167,54 @@ let test_translate_sees_shootdown () =
   Tlb.flush_all t;
   checki "miss after full flush" Tlb.miss (Tlb.translate t ~asid:1 ~vpage:42 ~write:false)
 
+(* Reference model of the default 64-entry direct-mapped TLB: an
+   option-returning lookup over a plain slot array, whose composition
+   with the caller's writability match is what [Tlb.translate] fuses. *)
+module Tlb_model = struct
+  type t = {
+    slots : (int * int * Tlb.entry) option array;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create () = { slots = Array.make 64 None; hits = 0; misses = 0 }
+  let slot vpage = vpage land 63
+  let insert t ~asid ~vpage e = t.slots.(slot vpage) <- Some (asid, vpage, e)
+
+  let flush_page t ~vpage =
+    match t.slots.(slot vpage) with
+    | Some (_, v, _) when v = vpage -> t.slots.(slot vpage) <- None
+    | _ -> ()
+
+  let lookup t ~asid ~vpage =
+    match t.slots.(slot vpage) with
+    | Some (a, v, e) when a = asid && v = vpage ->
+        t.hits <- t.hits + 1;
+        Some e
+    | _ ->
+        t.misses <- t.misses + 1;
+        None
+end
+
 let prop_translate_equals_lookup =
   QCheck.Test.make ~name:"Tlb.translate agrees with Tlb.lookup on random op streams" ~count:30
     QCheck.small_int (fun seed ->
-      let a_ = Tlb.create () and b = Tlb.create () in
+      let a_ = Tlb_model.create () and b = Tlb.create () in
       let rng = Rng.create ~seed:(Int64.of_int (seed + 5)) in
       for _ = 1 to 2_000 do
         let asid = Rng.int rng 3 and vpage = Rng.int rng 200 in
         match Rng.int rng 6 with
         | 0 ->
             let e = { Tlb.frame = Rng.int rng 1000; writable = Rng.bool rng } in
-            Tlb.insert a_ ~asid ~vpage e;
+            Tlb_model.insert a_ ~asid ~vpage e;
             Tlb.insert b ~asid ~vpage e
         | 1 ->
-            Tlb.flush_page a_ ~vpage;
+            Tlb_model.flush_page a_ ~vpage;
             Tlb.flush_page b ~vpage
         | _ ->
             let write = Rng.bool rng in
             let via_lookup =
-              match Tlb.lookup a_ ~asid ~vpage with
+              match Tlb_model.lookup a_ ~asid ~vpage with
               | Some e when (not write) || e.Tlb.writable -> e.Tlb.frame
               | Some _ -> Tlb.not_writable
               | None -> Tlb.miss
@@ -195,7 +224,7 @@ let prop_translate_equals_lookup =
               QCheck.Test.fail_reportf "asid=%d vpage=%d write=%b: lookup=%d translate=%d" asid
                 vpage write via_lookup fused
       done;
-      Tlb.hits a_ = Tlb.hits b && Tlb.misses a_ = Tlb.misses b)
+      a_.Tlb_model.hits = Tlb.hits b && a_.Tlb_model.misses = Tlb.misses b)
 
 (* ---------- phys page-pointer cache ---------- *)
 

@@ -273,6 +273,10 @@ let test_campaign_unknown_bench () =
   checkb "unknown bench" true
     (GE.campaign fmt { GE.default with bench = "nope" } = Campaign.Unknown_bench)
 
+(* Rendered-output pin: the MD5 of the whole campaign text. It moves only
+   when a simulated number or a printed line changes on purpose (like
+   test_serve's golden pin); a refactor of the campaign plumbing must
+   leave it alone. *)
 let test_campaign_clean_and_deterministic () =
   let run () =
     let buf = Buffer.create 4096 in
@@ -286,6 +290,8 @@ let test_campaign_clean_and_deterministic () =
   checkb "clean" true (v1 = Campaign.Clean);
   checkb "replay clean" true (v2 = Campaign.Clean);
   checkb "same seed, byte-identical output" true (out1 = out2);
+  Alcotest.(check string) "output pin" "2ae80716256908a7d263c61d18a651a9"
+    (Digest.to_hex (Digest.string out1));
   checkb "breaker comparison rendered" true
     (let contains s sub =
        let n = String.length s and m = String.length sub in

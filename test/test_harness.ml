@@ -11,7 +11,6 @@ module Cache_sim = Stramash_cache.Cache_sim
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
 module Kheap = Stramash_kernel.Kheap
-module Tlb = Stramash_kernel.Tlb
 module Msg_layer = Stramash_popcorn.Msg_layer
 module Data_packing = Stramash_core.Data_packing
 module H = Stramash_harness
@@ -76,18 +75,7 @@ let test_cheap_experiments_run () =
 
 (* ---------- polling notification ---------- *)
 
-let make_env () =
-  let cache = Cache_sim.create (Cache_config.default Layout.Shared) in
-  let phys = Phys_mem.create () in
-  {
-    Env.cache;
-    phys;
-    kernels = [| Kernel.boot ~node:Node_id.X86 ~phys; Kernel.boot ~node:Node_id.Arm ~phys |];
-    meters = [| Meter.create (); Meter.create () |];
-    tlbs = [| Tlb.create (); Tlb.create () |];
-    hw_model = Layout.Shared;
-      liveness = Stramash_sim.Liveness.create ();
-  }
+let make_env () = Env.create (Cache_sim.create (Cache_config.default Layout.Shared))
 
 let test_polling_cheaper_for_requester () =
   let latency notify =

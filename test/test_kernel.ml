@@ -183,22 +183,25 @@ let test_page_table_update_flags () =
 
 let test_tlb () =
   let tlb = Tlb.create ~entries:16 () in
-  Alcotest.(check bool) "cold miss" true (Tlb.lookup tlb ~asid:1 ~vpage:5 = None);
+  let probe ?(write = false) ~asid vpage = Tlb.translate tlb ~asid ~vpage ~write in
+  checki "cold miss" Tlb.miss (probe ~asid:1 5);
   Tlb.insert tlb ~asid:1 ~vpage:5 { Tlb.frame = 42; writable = true };
-  (match Tlb.lookup tlb ~asid:1 ~vpage:5 with
-  | Some e -> checki "hit frame" 42 e.Tlb.frame
-  | None -> Alcotest.fail "expected hit");
+  checki "hit frame" 42 (probe ~asid:1 5);
   (* a different address space must not alias the same virtual page *)
-  Alcotest.(check bool) "asid isolation" true (Tlb.lookup tlb ~asid:2 ~vpage:5 = None);
+  checki "asid isolation" Tlb.miss (probe ~asid:2 5);
   (* conflicting vpage maps to same slot (16 entries) *)
   Tlb.insert tlb ~asid:1 ~vpage:21 { Tlb.frame = 1; writable = false };
-  Alcotest.(check bool) "conflict evicts" true (Tlb.lookup tlb ~asid:1 ~vpage:5 = None);
+  checki "conflict evicts" Tlb.miss (probe ~asid:1 5);
+  (* a read-only entry serves reads; a write is refused but still a hit *)
+  checki "read-only read" 1 (probe ~asid:1 21);
+  checki "read-only write" Tlb.not_writable (probe ~write:true ~asid:1 21);
   Tlb.flush_page tlb ~vpage:21;
-  Alcotest.(check bool) "flush_page" true (Tlb.lookup tlb ~asid:1 ~vpage:21 = None);
+  checki "flush_page" Tlb.miss (probe ~asid:1 21);
   Tlb.insert tlb ~asid:1 ~vpage:9 { Tlb.frame = 7; writable = true };
   Tlb.flush_all tlb;
-  Alcotest.(check bool) "flush_all" true (Tlb.lookup tlb ~asid:1 ~vpage:9 = None);
-  checki "hits counted" 1 (Tlb.hits tlb)
+  checki "flush_all" Tlb.miss (probe ~asid:1 9);
+  checki "hits counted" 3 (Tlb.hits tlb);
+  checki "misses counted" 5 (Tlb.misses tlb)
 
 (* ---------- Frame_alloc ---------- *)
 

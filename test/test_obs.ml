@@ -158,6 +158,43 @@ let test_traced_run_covers_subsystems_and_agrees_with_meters () =
   let run_row = find_row t ~subsys:"runner" ~op:"run" in
   checki "one top span per node" 2 run_row.Trace.count
 
+(* ---------- known subsystems ---------- *)
+
+(* Every subsystem a real traced run records under must be one the CLI's
+   --trace-filter accepts, or filtering on it would be rejected; tracing
+   a fault campaign and a small serve campaign (which spans Popcorn-SHM,
+   placement, chaos, gray and scrub cells) keeps the list from going
+   stale as instrumentation is added. *)
+let test_known_subsystems_cover_recorded_runs () =
+  let recorded run =
+    let t = Trace.create () in
+    Trace.install t;
+    Fun.protect ~finally:Trace.uninstall run;
+    List.sort_uniq compare
+      (List.map (fun (r : Trace.row) -> r.Trace.subsys) (Trace.attribution t)
+      @ List.map fst (Trace.blocked_rows t))
+  in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let faults =
+    recorded (fun () ->
+        ignore
+          (Stramash_harness.Fault_experiments.campaign null
+             { Stramash_harness.Fault_experiments.default with seed = 42L }))
+  in
+  let serve =
+    recorded (fun () ->
+        let module SE = Stramash_harness.Serve_experiments in
+        ignore (SE.campaign null { SE.default with keys = 16_384; requests = 2_000 }))
+  in
+  Alcotest.(check bool) "faults run recorded injected faults" true (List.mem "fault" faults);
+  Alcotest.(check bool) "serve run recorded popcorn dsm" true (List.mem "dsm" serve);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is a known subsystem") true (List.mem s Trace.known_subsystems))
+    (faults @ serve);
+  Alcotest.(check (list string)) "sorted, no duplicates"
+    (List.sort_uniq compare Trace.known_subsystems) Trace.known_subsystems
+
 (* ---------- probe chaining ---------- *)
 
 let test_probe_chaining () =
@@ -173,14 +210,10 @@ let test_probe_chaining () =
   checki "first probe fired" 1 !hits_a;
   checki "second probe fired" 1 !hits_b;
   Alcotest.(check (list string)) "registration order" [ "a"; "b" ] (List.rev !order);
-  (* historical semantics: Some resets to exactly one, None clears all *)
-  Cache_sim.set_probe cache (Some (fun _ _ _ -> incr hits_a));
-  ignore (Cache_sim.access cache ~node:Node_id.X86 Cache_sim.Load ~paddr:0x2000);
-  checki "set_probe replaced the chain" 2 !hits_a;
-  checki "old second probe gone" 1 !hits_b;
-  Cache_sim.set_probe cache None;
+  Cache_sim.clear_probes cache;
   ignore (Cache_sim.access cache ~node:Node_id.X86 Cache_sim.Load ~paddr:0x3000);
-  checki "cleared" 2 !hits_a
+  checki "cleared" 1 !hits_a;
+  checki "cleared both" 1 !hits_b
 
 let test_writeback_hook_chaining () =
   let cache = Cache_sim.create (Cache_config.default Layout.Shared) in
@@ -541,6 +574,8 @@ let () =
           Alcotest.test_case "chrome deterministic" `Quick test_chrome_export_deterministic;
           Alcotest.test_case "coverage and meter agreement" `Quick
             test_traced_run_covers_subsystems_and_agrees_with_meters;
+          Alcotest.test_case "known subsystems cover recorded runs" `Quick
+            test_known_subsystems_cover_recorded_runs;
         ] );
       ( "cache probes",
         [

@@ -9,14 +9,12 @@ module Cache_config = Stramash_cache.Config
 module Cache_sim = Stramash_cache.Cache_sim
 module Env = Stramash_kernel.Env
 module Kernel = Stramash_kernel.Kernel
-module Tlb = Stramash_kernel.Tlb
 module Vma = Stramash_kernel.Vma
 module Process = Stramash_kernel.Process
 module Page_table = Stramash_kernel.Page_table
 module Msg_layer = Stramash_popcorn.Msg_layer
 module Dsm = Stramash_popcorn.Dsm
 module Fault = Stramash_fault_inject.Fault
-module Mir = Stramash_isa.Mir
 module B = Stramash_isa.Builder
 module Codegen = Stramash_isa.Codegen
 
@@ -24,18 +22,7 @@ let checki = Alcotest.(check int)
 let x86 = Node_id.X86
 let arm = Node_id.Arm
 
-let make_env ?(hw = Layout.Shared) () =
-  let cache = Cache_sim.create (Cache_config.default hw) in
-  let phys = Phys_mem.create () in
-  {
-    Env.cache;
-    phys;
-    kernels = [| Kernel.boot ~node:x86 ~phys; Kernel.boot ~node:arm ~phys |];
-    meters = [| Meter.create (); Meter.create () |];
-    tlbs = [| Tlb.create (); Tlb.create () |];
-    hw_model = hw;
-    liveness = Stramash_sim.Liveness.create ();
-  }
+let make_env ?(hw = Layout.Shared) () = Env.create (Cache_sim.create (Cache_config.default hw))
 
 let trivial_mir () =
   let b = B.create () in
