@@ -14,15 +14,11 @@ module Trace = Stramash_obs.Trace
 let walk_retry_cycles = Stramash_sim.Cycles.of_ns 600.0
 let walk_max_attempts = 3
 
-(* The io's allocator must never fire on read-only walks; owner is
-   irrelevant there, and install_leaf never allocates by construction. *)
-let io env ~actor =
-  {
-    Page_table.phys = env.Env.phys;
-    charge_read = (fun paddr -> Env.charge_load env actor ~paddr);
-    charge_write = (fun paddr -> Env.charge_store env actor ~paddr);
-    alloc_table = (fun () -> invalid_arg "Remote_walker: remote walks never allocate tables");
-  }
+(* The actor's charged io over the owner's table. Remote walks and leaf
+   installs never allocate a directory, so the owner's allocator in it is
+   never called. *)
+let io env ~actor ~owner_mm =
+  Env.pt_io env ~actor ~owner:(Page_table.isa owner_mm.Process.pgtable)
 
 (* A remote walk is the requester loading the owner's page-table lines
    over the coherent interconnect — there is no responder software, so the
@@ -54,7 +50,8 @@ let synth_remote_hops env ~actor ~flow ~subsys ~reads t0 t1 =
   end
 
 let walk env ~actor ~owner_mm ~vaddr =
-  if not (Trace.enabled ()) then Page_table.walk owner_mm.Process.pgtable (io env ~actor) ~vaddr
+  if not (Trace.enabled ()) then
+    Page_table.walk owner_mm.Process.pgtable (io env ~actor ~owner_mm) ~vaddr
   else begin
     let meter = Env.meter env actor in
     let sp =
@@ -63,7 +60,7 @@ let walk env ~actor ~owner_mm ~vaddr =
     in
     let reads = ref 0 in
     let io =
-      let base = io env ~actor in
+      let base = io env ~actor ~owner_mm in
       {
         base with
         Page_table.charge_read =
@@ -78,7 +75,7 @@ let walk env ~actor ~owner_mm ~vaddr =
     synth_remote_hops env ~actor ~flow:(Trace.flow_of sp) ~subsys:"remote_walker" ~reads:!reads
       t0 t1;
     Trace.close ~at:t1
-      ~tags:[ ("present", match result with Some _ -> "1" | None -> "0") ]
+      ~tags:[ ("present", if Pte.present result then "1" else "0") ]
       sp;
     result
   end
@@ -135,13 +132,13 @@ let walk_checked env ~actor ~owner_mm ~vaddr ?inject () =
       result
 
 let upper_levels_present env ~actor ~owner_mm ~vaddr =
-  Page_table.upper_levels_present owner_mm.Process.pgtable (io env ~actor) ~vaddr
+  Page_table.upper_levels_present owner_mm.Process.pgtable (io env ~actor ~owner_mm) ~vaddr
 
 let install_leaf_plain env ~actor ~owner_mm ~vaddr ~frame ~remote_owned =
   let flags = { Pte.default_flags with remote_owned } in
   if not (Trace.enabled ()) then
-    Page_table.set_leaf_if_upper_present owner_mm.Process.pgtable (io env ~actor) ~vaddr ~frame
-      flags
+    Page_table.set_leaf_if_upper_present owner_mm.Process.pgtable (io env ~actor ~owner_mm)
+      ~vaddr ~frame flags
   else begin
     let meter = Env.meter env actor in
     let sp =
@@ -150,7 +147,7 @@ let install_leaf_plain env ~actor ~owner_mm ~vaddr ~frame ~remote_owned =
     in
     let accesses = ref 0 in
     let io =
-      let base = io env ~actor in
+      let base = io env ~actor ~owner_mm in
       {
         base with
         Page_table.charge_read =
@@ -188,15 +185,16 @@ let install_leaf env ~actor ~owner_mm ~vaddr ~frame ~remote_owned ?inject () =
       let first = if corrupt then frame lxor 1 else frame in
       let installed = install_leaf_plain env ~actor ~owner_mm ~vaddr ~frame:first ~remote_owned in
       if installed then begin
-        (match Page_table.walk owner_mm.Process.pgtable (io env ~actor) ~vaddr with
-        | Some (f, _) when f = frame -> ()
-        | _ ->
-            ignore (install_leaf_plain env ~actor ~owner_mm ~vaddr ~frame ~remote_owned);
-            Plan.note_pte_repair plan;
-            if Trace.enabled () then
-              Trace.instant ~node:actor ~subsys:"remote_walker" ~op:"pte_repair"
-                ~tags:[ ("vaddr", Printf.sprintf "0x%x" vaddr) ]
-                ());
+        let pgtable = owner_mm.Process.pgtable in
+        let leaf = Page_table.walk pgtable (io env ~actor ~owner_mm) ~vaddr in
+        if not (Pte.present leaf && Pte.frame ~isa:(Page_table.isa pgtable) leaf = frame) then begin
+          ignore (install_leaf_plain env ~actor ~owner_mm ~vaddr ~frame ~remote_owned);
+          Plan.note_pte_repair plan;
+          if Trace.enabled () then
+            Trace.instant ~node:actor ~subsys:"remote_walker" ~op:"pte_repair"
+              ~tags:[ ("vaddr", Printf.sprintf "0x%x" vaddr) ]
+              ()
+        end;
         true
       end
       else false

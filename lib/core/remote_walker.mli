@@ -11,9 +11,10 @@ val walk :
   actor:Stramash_sim.Node_id.t ->
   owner_mm:Stramash_kernel.Process.mm ->
   vaddr:int ->
-  (int * Stramash_kernel.Pte.flags) option
-(** Decoded leaf (frame number, flags) of the owner's table, with every
-    entry read charged to [actor]. *)
+  int
+(** The owner's leaf entry as {!Stramash_kernel.Page_table.walk} returns
+    it (read it with {!Stramash_kernel.Pte}'s accessors under the owner's
+    ISA), with every entry read charged to [actor]. *)
 
 val walk_checked :
   Stramash_kernel.Env.t ->
@@ -22,7 +23,7 @@ val walk_checked :
   vaddr:int ->
   ?inject:Stramash_fault_inject.Plan.t ->
   unit ->
-  ((int * Stramash_kernel.Pte.flags) option, Stramash_fault_inject.Fault.error) result
+  (int, Stramash_fault_inject.Fault.error) result
 (** [walk] with injectable transient read failures and bounded retry;
     [Error (Walk_failed _)] after the plan's attempt cap (the caller then
     falls back to the origin kernel). Without [inject], always [Ok]. *)

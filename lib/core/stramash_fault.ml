@@ -80,8 +80,8 @@ let set_write_hook t f = t.write_hook <- Some f
 (* A mapped-but-read-only leaf hit by a write: give the placement engine
    (if any) the chance to collapse a replica; otherwise it is the
    raced/spurious fault it always was and the retry proceeds. *)
-let write_protect_fault t ~proc ~node ~vaddr ~write ~(flags : Pte.flags) =
-  if write && not flags.Pte.writable then
+let write_protect_fault t ~proc ~node ~vaddr ~write ~leaf_writable =
+  if write && not leaf_writable then
     match t.write_hook with
     | Some hook -> ignore (hook ~proc ~node ~vaddr : bool)
     | None -> ()
@@ -186,16 +186,16 @@ let exit_process t ~proc =
         (fun (v_start, v_end) ->
           let vaddr = ref v_start in
           while !vaddr < v_end do
-            (match Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr with
-            | Some (frame, _flags) ->
-                ignore (Page_table.unmap mm.Process.pgtable io ~vaddr:!vaddr);
-                Tlb.flush_page (Env.tlb t.env node) ~vpage:(Addr.page_of !vaddr);
-                let paddr = frame lsl Addr.page_shift in
-                if
-                  Frame_alloc.owns_address kernel.Kernel.frames paddr
-                  && Frame_alloc.is_allocated kernel.Kernel.frames paddr
-                then Frame_alloc.free kernel.Kernel.frames paddr
-            | None -> ());
+            let leaf = Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr in
+            if Pte.present leaf then begin
+              ignore (Page_table.unmap mm.Process.pgtable io ~vaddr:!vaddr);
+              Tlb.flush_page (Env.tlb t.env node) ~vpage:(Addr.page_of !vaddr);
+              let paddr = Pte.frame ~isa:node leaf lsl Addr.page_shift in
+              if
+                Frame_alloc.owns_address kernel.Kernel.frames paddr
+                && Frame_alloc.is_allocated kernel.Kernel.frames paddr
+              then Frame_alloc.free kernel.Kernel.frames paddr
+            end;
             vaddr := !vaddr + Addr.page_size
           done)
         !ranges)
@@ -255,16 +255,16 @@ let gray_fallback_untraced t ~proc ~node ~(mm : Process.mm) ~vaddr ~writable =
   Msg_layer.rpc t.msg ~src:node ~label:"gray_walk" ~req_bytes:64 ~resp_bytes:64
     ~handler:(fun () ->
       let oio = Env.pt_io t.env ~actor:origin ~owner:origin in
-      match Page_table.walk omm.Process.pgtable oio ~vaddr with
-      | Some (frame, _flags) -> result := Ok (frame lsl Addr.page_shift)
-      | None -> (
-          match alloc_zeroed t ~node:origin with
-          | Error _ as e -> result := e
-          | Ok frame ->
-              Page_table.map omm.Process.pgtable oio ~vaddr:(Addr.page_base vaddr)
-                ~frame:(frame lsr Addr.page_shift)
-                { Pte.default_flags with writable };
-              result := Ok frame));
+      let leaf = Page_table.walk omm.Process.pgtable oio ~vaddr in
+      if Pte.present leaf then result := Ok (Pte.frame ~isa:origin leaf lsl Addr.page_shift)
+      else
+        match alloc_zeroed t ~node:origin with
+        | Error _ as e -> result := e
+        | Ok frame ->
+            Page_table.map omm.Process.pgtable oio ~vaddr:(Addr.page_base vaddr)
+              ~frame:(frame lsr Addr.page_shift)
+              { Pte.default_flags with writable };
+            result := Ok frame);
   match !result with
   | Error _ as e -> e
   | Ok frame ->
@@ -304,13 +304,15 @@ let remote_fault_untraced t ~proc ~node ~(mm : Process.mm) ~vaddr ~writable =
           Remote_walker.walk_checked t.env ~actor:node ~owner_mm:omm ~vaddr ?inject:t.inject ()
         with
         | Error _ as e -> e
-        | Ok (Some (frame, _flags)) ->
+        | Ok leaf when Pte.present leaf ->
             (* The page exists at the origin: map the same frame; coherent
                shared memory does the rest. *)
-            map_local t ~node ~mm ~vaddr ~frame:(frame lsl Addr.page_shift) ~writable;
+            map_local t ~node ~mm ~vaddr
+              ~frame:(Pte.frame ~isa:origin leaf lsl Addr.page_shift)
+              ~writable;
             t.shared_mappings <- t.shared_mappings + 1;
             Ok `Done
-        | Ok None ->
+        | Ok _ ->
             if Remote_walker.upper_levels_present t.env ~actor:node ~owner_mm:omm ~vaddr then begin
               (* Fast path: allocate node-locally, install the PTE in both
                  tables (origin's in origin format, marked remote-owned so
@@ -386,32 +388,35 @@ let degraded_fault t dt ~proc ~node ~vaddr ~write =
   | Some (_, _, _, writable) -> (
       let mm = Env.ensure_mm t.env ~proc ~node in
       let local_io = Env.pt_io t.env ~actor:node ~owner:node in
-      match Page_table.walk mm.Process.pgtable local_io ~vaddr with
-      | Some (_, flags) ->
-          write_protect_fault t ~proc ~node ~vaddr ~write ~flags;
-          Ok ()
-      | None -> (
-          let penalty = if Option.is_some t.inject then degraded_walk_penalty_cycles else 0 in
-          Meter.add meter penalty;
-          Msg_layer.record_async t.msg ~label:"degraded_walk";
-          t.degraded_walks <- t.degraded_walks + 1;
-          plan_note t Plan.note_degraded_walk;
-          plan_note t (fun p -> Plan.add_degraded_cycles p ~cycles:penalty);
-          match Hashtbl.find_opt dt.dt_ptes (proc.Process.pid, Addr.page_base vaddr) with
-          | Some (frame, _) ->
-              (* The page existed in the dead table: its frame survived the
-                 crash (memory inventory), only the mapping was lost. *)
-              map_local t ~node ~mm ~vaddr ~frame:(frame lsl Addr.page_shift) ~writable;
-              Ok ()
-          | None -> (
-              match alloc_zeroed t ~node with
-              | Error _ as e -> e
-              | Ok frame ->
-                  map_local t ~node ~mm ~vaddr ~frame ~writable;
-                  dt.dt_pending <-
-                    (proc.Process.pid, Addr.page_base vaddr, frame lsr Addr.page_shift, writable)
-                    :: dt.dt_pending;
-                  Ok ())))
+      let leaf = Page_table.walk mm.Process.pgtable local_io ~vaddr in
+      if Pte.present leaf then begin
+        write_protect_fault t ~proc ~node ~vaddr ~write
+          ~leaf_writable:(Pte.writable ~isa:node leaf);
+        Ok ()
+      end
+      else begin
+        let penalty = if Option.is_some t.inject then degraded_walk_penalty_cycles else 0 in
+        Meter.add meter penalty;
+        Msg_layer.record_async t.msg ~label:"degraded_walk";
+        t.degraded_walks <- t.degraded_walks + 1;
+        plan_note t Plan.note_degraded_walk;
+        plan_note t (fun p -> Plan.add_degraded_cycles p ~cycles:penalty);
+        match Hashtbl.find_opt dt.dt_ptes (proc.Process.pid, Addr.page_base vaddr) with
+        | Some (frame, _) ->
+            (* The page existed in the dead table: its frame survived the
+               crash (memory inventory), only the mapping was lost. *)
+            map_local t ~node ~mm ~vaddr ~frame:(frame lsl Addr.page_shift) ~writable;
+            Ok ()
+        | None -> (
+            match alloc_zeroed t ~node with
+            | Error _ as e -> e
+            | Ok frame ->
+                map_local t ~node ~mm ~vaddr ~frame ~writable;
+                dt.dt_pending <-
+                  (proc.Process.pid, Addr.page_base vaddr, frame lsr Addr.page_shift, writable)
+                  :: dt.dt_pending;
+                Ok ())
+      end)
 
 let handle_fault_fused t ~proc ~node ~vaddr ~write =
   let origin = proc.Process.origin in
@@ -423,39 +428,40 @@ let handle_fault_fused t ~proc ~node ~vaddr ~write =
   | Some vma -> (
       let writable = vma.Vma.writable in
       let local_io = Env.pt_io t.env ~actor:node ~owner:node in
-      match Page_table.walk mm.Process.pgtable local_io ~vaddr with
-      | Some (_, flags) ->
-          (* Raced/spurious for a writable leaf; for a read-only leaf a
-             write here is a replica collapse request. *)
-          write_protect_fault t ~proc ~node ~vaddr ~write ~flags;
-          Ok ()
-      | None ->
-          if Node_id.equal node origin then begin
-            (* Fresh anon page at the origin. *)
-            match alloc_zeroed t ~node with
-            | Error _ as e -> e
-            | Ok frame ->
-                map_local t ~node ~mm ~vaddr ~frame ~writable;
-                Ok ()
-          end
-          else begin
-            (* Per-peer circuit breaker: a tripped origin is served over
-               the message-walk fallback instead of the fused path, with
-               paced probes re-exercising the fused path so hysteresis
-               can re-admit a recovered peer. *)
-            match t.inject with
-            | None -> remote_fault t ~proc ~node ~mm ~vaddr ~writable
-            | Some plan -> (
-                let now = Meter.get (Env.meter t.env node) in
-                match Plan.breaker_route plan ~peer:origin ~now with
-                | `Fused -> remote_fault t ~proc ~node ~mm ~vaddr ~writable
-                | `Divert -> gray_fallback t ~proc ~node ~mm ~vaddr ~writable
-                | `Probe ->
-                    let result = remote_fault t ~proc ~node ~mm ~vaddr ~writable in
-                    Plan.breaker_probe_done plan ~peer:origin
-                      ~now:(Meter.get (Env.meter t.env node));
-                    result)
-          end)
+      let leaf = Page_table.walk mm.Process.pgtable local_io ~vaddr in
+      if Pte.present leaf then begin
+        (* Raced/spurious for a writable leaf; for a read-only leaf a
+           write here is a replica collapse request. *)
+        write_protect_fault t ~proc ~node ~vaddr ~write
+          ~leaf_writable:(Pte.writable ~isa:node leaf);
+        Ok ()
+      end
+      else if Node_id.equal node origin then begin
+        (* Fresh anon page at the origin. *)
+        match alloc_zeroed t ~node with
+        | Error _ as e -> e
+        | Ok frame ->
+            map_local t ~node ~mm ~vaddr ~frame ~writable;
+            Ok ()
+      end
+      else begin
+        (* Per-peer circuit breaker: a tripped origin is served over
+           the message-walk fallback instead of the fused path, with
+           paced probes re-exercising the fused path so hysteresis
+           can re-admit a recovered peer. *)
+        match t.inject with
+        | None -> remote_fault t ~proc ~node ~mm ~vaddr ~writable
+        | Some plan -> (
+            let now = Meter.get (Env.meter t.env node) in
+            match Plan.breaker_route plan ~peer:origin ~now with
+            | `Fused -> remote_fault t ~proc ~node ~mm ~vaddr ~writable
+            | `Divert -> gray_fallback t ~proc ~node ~mm ~vaddr ~writable
+            | `Probe ->
+                let result = remote_fault t ~proc ~node ~mm ~vaddr ~writable in
+                Plan.breaker_probe_done plan ~peer:origin
+                  ~now:(Meter.get (Env.meter t.env node));
+                result)
+      end)
 
 let handle_fault_untraced t ~proc ~node ~vaddr ~write =
   let origin = proc.Process.origin in
@@ -723,7 +729,7 @@ let on_node_restart t ~procs ~node ~now =
                       (Frame_alloc.owns_address kernel.Kernel.frames
                          (frame lsl Addr.page_shift))
                   in
-                  if Page_table.walk omm.Process.pgtable io ~vaddr = None then
+                  if not (Pte.present (Page_table.walk omm.Process.pgtable io ~vaddr)) then
                     Page_table.map omm.Process.pgtable io ~vaddr ~frame
                       { Pte.default_flags with writable; remote_owned }))
         (List.rev dt.dt_pending);

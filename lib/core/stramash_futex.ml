@@ -8,6 +8,7 @@ module Futex = Stramash_kernel.Futex
 module Process = Stramash_kernel.Process
 module Thread = Stramash_kernel.Thread
 module Page_table = Stramash_kernel.Page_table
+module Pte = Stramash_kernel.Pte
 module Ipi = Stramash_interconnect.Ipi
 module Trace = Stramash_obs.Trace
 
@@ -29,20 +30,21 @@ let home_node t ~origin =
 let word_paddr t ~proc ~node ~uaddr =
   let mm = Env.ensure_mm t.env ~proc ~node in
   let io = Env.pt_io t.env ~actor:node ~owner:node in
-  let frame =
-    match Page_table.walk mm.Process.pgtable io ~vaddr:uaddr with
-    | Some (frame, _) -> frame
-    | None -> (
-        (* A futex on an unmapped or unmappable word cannot proceed; the
-           typed error crosses to the CLI edge as an exception. *)
-        Stramash_fault.handle_fault_exn t.faults ~proc ~node ~vaddr:uaddr ~write:true;
-        match Page_table.walk mm.Process.pgtable io ~vaddr:uaddr with
-        | Some (frame, _) -> frame
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Stramash_futex: fault handler left uaddr=0x%x unmapped" uaddr))
+  let leaf =
+    let leaf = Page_table.walk mm.Process.pgtable io ~vaddr:uaddr in
+    if Pte.present leaf then leaf
+    else begin
+      (* A futex on an unmapped or unmappable word cannot proceed; the
+         typed error crosses to the CLI edge as an exception. *)
+      Stramash_fault.handle_fault_exn t.faults ~proc ~node ~vaddr:uaddr ~write:true;
+      let leaf = Page_table.walk mm.Process.pgtable io ~vaddr:uaddr in
+      if not (Pte.present leaf) then
+        invalid_arg
+          (Printf.sprintf "Stramash_futex: fault handler left uaddr=0x%x unmapped" uaddr);
+      leaf
+    end
   in
-  (frame lsl Addr.page_shift) + Addr.page_offset uaddr
+  (Pte.frame ~isa:node leaf lsl Addr.page_shift) + Addr.page_offset uaddr
 
 let wait_acting t ~actor ~proc ~thread ~uaddr ~expected =
   let meter = Env.meter t.env actor in

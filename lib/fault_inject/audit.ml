@@ -46,9 +46,9 @@ let iter_leaves env ~proc ~f =
         (fun (v_start, v_end) ->
           let vaddr = ref v_start in
           while !vaddr < v_end do
-            (match Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr with
-            | Some (pfn, flags) -> f ~node ~vaddr:!vaddr ~paddr:(pfn lsl Addr.page_shift) ~flags
-            | None -> ());
+            let leaf = Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr in
+            if Pte.present leaf then
+              f ~node ~vaddr:!vaddr ~paddr:(Pte.frame ~isa:node leaf lsl Addr.page_shift) ~leaf;
             vaddr := !vaddr + Addr.page_size
           done)
         ranges)
@@ -63,7 +63,7 @@ let run ~env ~procs ?threads ?held ?ledger ?(extra = []) () =
     (fun proc ->
       let origin = proc.Process.origin in
       let proc_frames = Hashtbl.create 64 in
-      iter_leaves env ~proc ~f:(fun ~node ~vaddr ~paddr ~flags ->
+      iter_leaves env ~proc ~f:(fun ~node ~vaddr ~paddr ~leaf ->
           incr checks;
           match frame_owner env paddr with
           | None ->
@@ -83,11 +83,12 @@ let run ~env ~procs ?threads ?held ?ledger ?(extra = []) () =
               if Node_id.equal node origin then begin
                 incr checks;
                 let expect = not (Node_id.equal owner origin) in
-                if flags.Pte.remote_owned <> expect then
+                let remote_owned = Pte.remote_owned ~isa:node leaf in
+                if remote_owned <> expect then
                   bad "remote-owned-flag"
                     (Printf.sprintf
                        "pid=%d origin table vaddr=0x%x: remote_owned=%b but frame owner is %s"
-                       proc.Process.pid vaddr flags.Pte.remote_owned (Node_id.to_string owner))
+                       proc.Process.pid vaddr remote_owned (Node_id.to_string owner))
               end;
               (* Shared intent: both kernels may map one frame only at the
                  same vaddr (the §6.4 shared-frame fast path). *)
@@ -186,7 +187,7 @@ let run ~env ~procs ?threads ?held ?ledger ?(extra = []) () =
 let mapped_frames ~env ~proc =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  iter_leaves env ~proc ~f:(fun ~node:_ ~vaddr:_ ~paddr ~flags:_ ->
+  iter_leaves env ~proc ~f:(fun ~node:_ ~vaddr:_ ~paddr ~leaf:_ ->
       if not (Hashtbl.mem seen paddr) then begin
         Hashtbl.add seen paddr ();
         match frame_owner env paddr with
@@ -201,7 +202,7 @@ let check_teardown ~env ~procs ~mapped =
   let bad check detail = violations := { check; detail } :: !violations in
   List.iter
     (fun proc ->
-      iter_leaves env ~proc ~f:(fun ~node ~vaddr ~paddr:_ ~flags:_ ->
+      iter_leaves env ~proc ~f:(fun ~node ~vaddr ~paddr:_ ~leaf:_ ->
           incr checks;
           bad "teardown-leaf"
             (Printf.sprintf "pid=%d %s table still maps vaddr=0x%x after exit" proc.Process.pid

@@ -10,19 +10,48 @@ type t = {
   tlbs : Tlb.t array;
   hw_model : Stramash_mem.Layout.hw_model;
   liveness : Stramash_sim.Liveness.t;
+  pt_ios : Page_table.io array;
+  silent_ios : Page_table.io array;
 }
+
+(* The page-table io records, built once so that a fault or a walk does
+   not allocate three closures. [pt_ios] is indexed by [pt_slot],
+   [silent_ios] by owner (0 = walk-only). *)
+let pt_slot ~actor ~owner = (2 * Node_id.index actor) + Node_id.index owner
 
 let create cache =
   let phys = Stramash_mem.Phys_mem.create () in
   let kernels = [| Kernel.boot ~node:Node_id.X86 ~phys; Kernel.boot ~node:Node_id.Arm ~phys |] in
+  let meters = [| Meter.create (); Meter.create () |] in
+  let alloc_from owner () = Kernel.alloc_table_page kernels.(Node_id.index owner) in
+  let pt_io actor owner =
+    let meter = meters.(Node_id.index actor) in
+    {
+      Page_table.phys;
+      charge_read =
+        (fun paddr -> Meter.add meter (Cache_sim.access cache ~node:actor Cache_sim.Load ~paddr));
+      charge_write =
+        (fun paddr -> Meter.add meter (Cache_sim.access cache ~node:actor Cache_sim.Store ~paddr));
+      alloc_table = alloc_from owner;
+    }
+  in
+  let silent_io alloc_table =
+    { Page_table.phys; charge_read = ignore; charge_write = ignore; alloc_table }
+  in
   {
     cache;
     phys;
     kernels;
-    meters = [| Meter.create (); Meter.create () |];
+    meters;
     tlbs = [| Tlb.create (); Tlb.create () |];
     hw_model = (Cache_sim.config cache).Stramash_cache.Config.hw_model;
     liveness = Stramash_sim.Liveness.create ();
+    pt_ios = Array.init 4 (fun i -> pt_io (Node_id.of_index (i / 2)) (Node_id.of_index (i mod 2)));
+    silent_ios =
+      Array.init 3 (fun i ->
+          silent_io
+            (if i = 0 then fun () -> invalid_arg "Env.silent_io: walk must not allocate"
+             else alloc_from (Node_id.of_index (i - 1))));
   }
 
 let kernel t node = t.kernels.(Node_id.index node)
@@ -46,24 +75,10 @@ let charge_bytes_load t node ~paddr ~len =
 let charge_bytes_store t node ~paddr ~len =
   Meter.add (meter t node) (Cache_sim.access_bytes t.cache ~node Cache_sim.Store ~paddr ~len)
 
-let pt_io t ~actor ~owner =
-  {
-    Page_table.phys = t.phys;
-    charge_read = (fun paddr -> charge_load t actor ~paddr);
-    charge_write = (fun paddr -> charge_store t actor ~paddr);
-    alloc_table = (fun () -> Kernel.alloc_table_page (kernel t owner));
-  }
+let pt_io t ~actor ~owner = t.pt_ios.(pt_slot ~actor ~owner)
 
 let silent_io ?owner t =
-  {
-    Page_table.phys = t.phys;
-    charge_read = ignore;
-    charge_write = ignore;
-    alloc_table =
-      (match owner with
-      | Some node -> fun () -> Kernel.alloc_table_page (kernel t node)
-      | None -> fun () -> invalid_arg "Env.silent_io: walk must not allocate");
-  }
+  t.silent_ios.(match owner with None -> 0 | Some node -> 1 + Node_id.index node)
 
 let ensure_mm t ~proc ~node =
   match Process.mm proc node with

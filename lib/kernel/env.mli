@@ -16,6 +16,10 @@ type t = {
   liveness : Stramash_sim.Liveness.t;
       (** ground-truth crash-stop state + fencing epochs (all-alive in
           runs without a chaos schedule) *)
+  pt_ios : Page_table.io array;
+  silent_ios : Page_table.io array;
+      (** the records {!pt_io} and {!silent_io} return, built once by
+          {!create} *)
 }
 
 val create : Stramash_cache.Cache_sim.t -> t
@@ -40,14 +44,16 @@ val charge_bytes_store : t -> Stramash_sim.Node_id.t -> paddr:int -> len:int -> 
 val pt_io : t -> actor:Stramash_sim.Node_id.t -> owner:Stramash_sim.Node_id.t -> Page_table.io
 (** Page-table access descriptor: table pages are allocated from the
     [owner] kernel; entry reads/writes are performed (and billed) by
-    [actor] — for a remote software walk the two differ. *)
+    [actor] — for a remote software walk the two differ. The same
+    record is returned on every call for a given pair. *)
 
 val silent_io : ?owner:Stramash_sim.Node_id.t -> t -> Page_table.io
 (** Zero-charge page-table access descriptor, for work the simulated
     clock must not see (load-time mapping, audits, checkpoint capture).
     With [owner], table pages come from that kernel; without it the
     descriptor is walk-only and a table allocation raises
-    [Invalid_argument], so an observer can never perturb the tables. *)
+    [Invalid_argument], so an observer can never perturb the tables.
+    Prebuilt, like [pt_io]. *)
 
 val ensure_mm :
   t -> proc:Process.t -> node:Stramash_sim.Node_id.t -> Process.mm

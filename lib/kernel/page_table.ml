@@ -30,104 +30,98 @@ let entry_addr table_paddr idx = table_paddr + (idx * 8)
 
 let read_entry io paddr =
   io.charge_read paddr;
-  Phys_mem.read_u64 io.phys paddr
+  Phys_mem.read_entry io.phys paddr
 
 let write_entry io paddr v =
   io.charge_write paddr;
-  Phys_mem.write_u64 io.phys paddr v
+  Phys_mem.write_entry io.phys paddr v
 
-(* Directory entries use the same per-ISA encoding as leaves. *)
-let decode_dir t v = Option.map fst (Pte.decode ~isa:t.isa v)
+(* [descend]'s "no such table": table pages are frames, never at -1. *)
+let absent = -1
 
 (* Descend to the table that holds the leaf entry. [alloc] controls whether
-   missing directories are created. Returns the leaf table's paddr. *)
+   missing directories are created. Returns the leaf table's paddr, or
+   [absent]. Directory entries use the same per-ISA encoding as leaves. *)
 let rec descend t io ~level ~table ~vaddr ~alloc =
-  if level = 0 then Some table
+  if level = 0 then table
   else begin
     let slot = entry_addr table (index_at ~level vaddr) in
-    let raw = read_entry io slot in
-    match decode_dir t raw with
-    | Some frame -> descend t io ~level:(level - 1) ~table:(frame lsl Addr.page_shift) ~vaddr ~alloc
-    | None ->
-        if not alloc then None
-        else begin
-          (* Directory allocation is rare enough to record every time. No
-             meter in scope: the event inherits the node and clock of the
-             innermost open span (the fault handler driving us). *)
-          if Trace.enabled () then
-            Trace.instant ~subsys:"page_table" ~op:"alloc_table"
-              ~tags:[ ("level", string_of_int level) ]
-              ();
-          let fresh = io.alloc_table () in
-          t.table_pages <- t.table_pages + 1;
-          let entry =
-            Pte.encode ~isa:t.isa ~frame:(fresh lsr Addr.page_shift) Pte.default_flags
-          in
-          write_entry io slot entry;
-          descend t io ~level:(level - 1) ~table:fresh ~vaddr ~alloc
-        end
+    let entry = read_entry io slot in
+    if Pte.present entry then
+      descend t io ~level:(level - 1)
+        ~table:(Pte.frame ~isa:t.isa entry lsl Addr.page_shift)
+        ~vaddr ~alloc
+    else if not alloc then absent
+    else begin
+      (* Directory allocation is rare enough to record every time. No
+         meter in scope: the event inherits the node and clock of the
+         innermost open span (the fault handler driving us). *)
+      if Trace.enabled () then
+        Trace.instant ~subsys:"page_table" ~op:"alloc_table"
+          ~tags:[ ("level", string_of_int level) ]
+          ();
+      let fresh = io.alloc_table () in
+      t.table_pages <- t.table_pages + 1;
+      write_entry io slot
+        (Pte.encode ~isa:t.isa ~frame:(fresh lsr Addr.page_shift) Pte.default_flags);
+      descend t io ~level:(level - 1) ~table:fresh ~vaddr ~alloc
+    end
   end
 
-let leaf_entry_paddr t io ~vaddr =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false with
-  | None -> None
-  | Some table -> Some (entry_addr table (index_at ~level:0 vaddr))
-
-let walk_raw t io ~vaddr =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> None
-  | Some slot ->
-      let raw = read_entry io slot in
-      if Pte.decode ~isa:t.isa raw = None then None else Some raw
+(* Physical address of the leaf PTE slot, or [absent] when a directory
+   is missing. *)
+let leaf_slot t io ~vaddr =
+  let table = descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false in
+  if table = absent then absent else entry_addr table (index_at ~level:0 vaddr)
 
 let walk t io ~vaddr =
-  let result =
-    match leaf_entry_paddr t io ~vaddr with
-    | None -> None
-    | Some slot -> Pte.decode ~isa:t.isa (read_entry io slot)
-  in
-  (* Only non-present walks are recorded: hit-path walks run once per
-     memory access and would flood the event ring with noise. The misses
-     are the ones that turn into faults and cross-ISA traffic. *)
-  if result = None && Trace.enabled () then
-    Trace.instant ~subsys:"page_table" ~op:"walk_miss" ();
-  result
+  let slot = leaf_slot t io ~vaddr in
+  let leaf = if slot = absent then Pte.not_present else read_entry io slot in
+  if Pte.present leaf then leaf
+  else begin
+    (* Only non-present walks are recorded: hit-path walks run once per
+       memory access and would flood the event ring with noise. The misses
+       are the ones that turn into faults and cross-ISA traffic. *)
+    if Trace.enabled () then Trace.instant ~subsys:"page_table" ~op:"walk_miss" ();
+    Pte.not_present
+  end
 
 let upper_levels_present t io ~vaddr =
-  descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false <> None
+  descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false <> absent
 
 let map t io ~vaddr ~frame flags =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:true with
-  | None -> assert false
-  | Some table ->
-      let slot = entry_addr table (index_at ~level:0 vaddr) in
-      write_entry io slot (Pte.encode ~isa:t.isa ~frame flags)
+  let table = descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:true in
+  write_entry io
+    (entry_addr table (index_at ~level:0 vaddr))
+    (Pte.encode ~isa:t.isa ~frame flags)
 
 let set_leaf_if_upper_present t io ~vaddr ~frame flags =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false with
-  | None -> false
-  | Some table ->
-      let slot = entry_addr table (index_at ~level:0 vaddr) in
-      write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
-      true
+  let slot = leaf_slot t io ~vaddr in
+  if slot = absent then false
+  else begin
+    write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
+    true
+  end
 
 let update_flags t io ~vaddr flags =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> false
-  | Some slot -> (
-      match Pte.decode ~isa:t.isa (read_entry io slot) with
-      | None -> false
-      | Some (frame, _) ->
-          write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
-          true)
+  let slot = leaf_slot t io ~vaddr in
+  if slot = absent then false
+  else begin
+    let leaf = read_entry io slot in
+    let present = Pte.present leaf in
+    if present then
+      write_entry io slot (Pte.encode ~isa:t.isa ~frame:(Pte.frame ~isa:t.isa leaf) flags);
+    present
+  end
 
 let unmap t io ~vaddr =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> false
-  | Some slot ->
-      let present = Pte.decode ~isa:t.isa (read_entry io slot) <> None in
-      if present then write_entry io slot Pte.not_present;
-      present
+  let slot = leaf_slot t io ~vaddr in
+  if slot = absent then false
+  else begin
+    let present = Pte.present (read_entry io slot) in
+    if present then write_entry io slot Pte.not_present;
+    present
+  end
 
 let table_pages t = t.table_pages
 
@@ -139,12 +133,13 @@ let table_pages t = t.table_pages
 let iter_leaves t io ~f =
   let rec go ~level ~table ~va_base =
     for idx = 0 to entries - 1 do
-      match Pte.decode ~isa:t.isa (read_entry io (entry_addr table idx)) with
-      | None -> ()
-      | Some (frame, flags) ->
-          let va = va_base lor (idx lsl (Addr.page_shift + (index_bits * level))) in
-          if level = 0 then f ~vaddr:va ~frame ~flags
-          else go ~level:(level - 1) ~table:(frame lsl Addr.page_shift) ~va_base:va
+      let entry = read_entry io (entry_addr table idx) in
+      if Pte.present entry then begin
+        let frame = Pte.frame ~isa:t.isa entry in
+        let va = va_base lor (idx lsl (Addr.page_shift + (index_bits * level))) in
+        if level = 0 then f ~vaddr:va ~frame ~flags:(Pte.flags ~isa:t.isa entry)
+        else go ~level:(level - 1) ~table:(frame lsl Addr.page_shift) ~va_base:va
+      end
     done
   in
   go ~level:(levels - 1) ~table:t.root ~va_base:0

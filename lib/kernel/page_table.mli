@@ -23,12 +23,11 @@ val create : isa:Stramash_sim.Node_id.t -> io -> t
 val isa : t -> Stramash_sim.Node_id.t
 val root : t -> int
 
-val walk : t -> io -> vaddr:int -> (int * Pte.flags) option
+val walk : t -> io -> vaddr:int -> int
 (** Full software walk; charges one entry read per level traversed.
-    Returns the decoded leaf (frame, flags) if present. *)
-
-val walk_raw : t -> io -> vaddr:int -> int64 option
-(** Leaf PTE raw bits (present entries only). *)
+    Returns the present leaf's entry bits, to be read with {!Pte}'s
+    accessors under [isa t], or {!Pte.not_present} when a directory or
+    the leaf is absent. Allocates nothing. *)
 
 val upper_levels_present : t -> io -> vaddr:int -> bool
 (** True when every directory level above the leaf exists — the condition
@@ -47,10 +46,6 @@ val update_flags : t -> io -> vaddr:int -> Pte.flags -> bool
 val unmap : t -> io -> vaddr:int -> bool
 (** Clear the leaf entry; directory pages are not reclaimed (as in
     Linux's common case). *)
-
-val leaf_entry_paddr : t -> io -> vaddr:int -> int option
-(** Physical address of the leaf PTE slot, if the directories exist —
-    what a remote walker reads/CASes. *)
 
 val table_pages : t -> int
 (** Number of table pages allocated (root included). *)

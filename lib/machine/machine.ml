@@ -276,11 +276,11 @@ let read_user t ~proc ~node ~vaddr ~width =
   match Process.mm proc node with
   | None -> None
   | Some mm -> (
-      match Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr with
-      | None -> None
-      | Some (frame, _) ->
-          let paddr = (frame lsl Addr.page_shift) + Addr.page_offset vaddr in
-          Some (Phys_mem.read t.env.Env.phys paddr ~width))
+      let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr in
+      if not (Pte.present leaf) then None
+      else
+        let paddr = (Pte.frame ~isa:node leaf lsl Addr.page_shift) + Addr.page_offset vaddr in
+        Some (Phys_mem.read t.env.Env.phys paddr ~width))
 
 let read_user_f64 t ~proc ~node ~vaddr =
   Option.map Int64.float_of_bits (read_user t ~proc ~node ~vaddr ~width:8)

@@ -50,24 +50,27 @@ let max_fault_retries = 4
    handler, then retry. Each retry re-enters [Tlb.translate], so every
    pass of the recursion counts one TLB probe. *)
 let rec translate_slow t vaddr ~write ~retries =
-  match Page_table.walk t.mm.Process.pgtable t.io ~vaddr with
-  | Some (frame, flags) when (not write) || flags.Pte.writable ->
-      Tlb.insert t.tlb ~asid:t.asid ~vpage:(Addr.page_of vaddr)
-        { Tlb.frame; writable = flags.Pte.writable };
-      frame
-  | _ ->
-      if retries >= max_fault_retries then
-        failwith
-          (Printf.sprintf "fault loop at 0x%x (%s, write=%b)" vaddr (Node_id.to_string t.node)
-             write);
-      (* The CLI edge of the typed-error API: an unrecoverable fault
-         (segfault, OOM beyond hotplug) terminates the run as an
-         exception with the error's rendering. *)
-      (match Os.handle_fault t.os ~env:t.env ~proc:t.proc ~node:t.node ~vaddr ~write with
-      | Ok () -> ()
-      | Error e -> raise (Fault.Error e));
-      let frame = Tlb.translate t.tlb ~asid:t.asid ~vpage:(Addr.page_of vaddr) ~write in
-      if frame >= 0 then frame else translate_slow t vaddr ~write ~retries:(retries + 1)
+  let leaf = Page_table.walk t.mm.Process.pgtable t.io ~vaddr in
+  let writable = Pte.writable ~isa:t.node leaf in
+  if Pte.present leaf && ((not write) || writable) then begin
+    let frame = Pte.frame ~isa:t.node leaf in
+    Tlb.insert t.tlb ~asid:t.asid ~vpage:(Addr.page_of vaddr) { Tlb.frame; writable };
+    frame
+  end
+  else begin
+    if retries >= max_fault_retries then
+      failwith
+        (Printf.sprintf "fault loop at 0x%x (%s, write=%b)" vaddr (Node_id.to_string t.node)
+           write);
+    (* The CLI edge of the typed-error API: an unrecoverable fault
+       (segfault, OOM beyond hotplug) terminates the run as an
+       exception with the error's rendering. *)
+    (match Os.handle_fault t.os ~env:t.env ~proc:t.proc ~node:t.node ~vaddr ~write with
+    | Ok () -> ()
+    | Error e -> raise (Fault.Error e));
+    let frame = Tlb.translate t.tlb ~asid:t.asid ~vpage:(Addr.page_of vaddr) ~write in
+    if frame >= 0 then frame else translate_slow t vaddr ~write ~retries:(retries + 1)
+  end
 
 (* Fused TLB probe + permission check + paddr assembly, allocation-free
    on a hit. [Tlb.translate] returns the frame, or [miss]/[not_writable];

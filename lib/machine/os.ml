@@ -87,12 +87,13 @@ let vanilla_exit ~env ~proc =
       Vma.iter mm.Process.vmas ~f:(fun vma ->
           let vaddr = ref vma.Vma.v_start in
           while !vaddr < vma.Vma.v_end do
-            (match Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr with
-            | Some (frame, _) ->
-                ignore (Page_table.unmap mm.Process.pgtable io ~vaddr:!vaddr);
-                Tlb.flush_page (Env.tlb env node) ~vpage:(Addr.page_of !vaddr);
-                Stramash_kernel.Frame_alloc.free kernel.Kernel.frames (frame lsl Addr.page_shift)
-            | None -> ());
+            let leaf = Page_table.walk mm.Process.pgtable io ~vaddr:!vaddr in
+            if Pte.present leaf then begin
+              ignore (Page_table.unmap mm.Process.pgtable io ~vaddr:!vaddr);
+              Tlb.flush_page (Env.tlb env node) ~vpage:(Addr.page_of !vaddr);
+              Stramash_kernel.Frame_alloc.free kernel.Kernel.frames
+                (Pte.frame ~isa:node leaf lsl Addr.page_shift)
+            end;
             vaddr := !vaddr + Addr.page_size
           done)
 

@@ -79,12 +79,26 @@ let write t a ~width v =
 
 (* Width-specialised paths: no width dispatch, no explicit straddle check
    (Bytes bounds-checks the 8-byte window against the 4 KiB page). These
-   carry the interpreter's dominant access width and the page-table
-   walker's entry reads. *)
+   carry the interpreter's dominant access width. *)
 let read_u8 t a = Char.code (Bytes.get (page_for t (Addr.page_of a)) (Addr.page_offset a))
 let write_u8 t a v = Bytes.set (page_for t (Addr.page_of a)) (Addr.page_offset a) (Char.chr (v land 0xFF))
 let read_u64 t a = Bytes.get_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a)
 let write_u64 t a v = Bytes.set_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a) v
+
+(* Page-table entries as immediate ints: the primitive get/set compile
+   to a plain 8-byte load/store, so the int64 is never boxed. *)
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let read_entry t a =
+  let v = bytes_get64 (page_for t (Addr.page_of a)) (Addr.page_offset a) in
+  Int64.to_int (if Sys.big_endian then bswap64 v else v)
+
+let write_entry t a v =
+  let v = Int64.of_int v in
+  bytes_set64 (page_for t (Addr.page_of a)) (Addr.page_offset a)
+    (if Sys.big_endian then bswap64 v else v)
 
 let read_f64 t a = Int64.float_of_bits (read_u64 t a)
 let write_f64 t a v = write_u64 t a (Int64.bits_of_float v)

@@ -50,6 +50,13 @@ val write_u64 : t -> Addr.paddr -> int64 -> unit
     a bounds-checked [Bytes] access, no width dispatch. Semantically
     identical to [read]/[write] at the same width. *)
 
+val read_entry : t -> Addr.paddr -> int
+val write_entry : t -> Addr.paddr -> int -> unit
+(** The 64-bit little-endian word at [a] as an immediate [int], without
+    boxing: a read drops bit 63, a write copies bit 62 into it. Exact for
+    any word whose top two bits are clear, which every page-table entry
+    is. *)
+
 val read_f64 : t -> Addr.paddr -> float
 val write_f64 : t -> Addr.paddr -> float -> unit
 

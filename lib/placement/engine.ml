@@ -165,10 +165,15 @@ let remote_owned_for t ~node ~frame_paddr =
   | Some owner -> not (Node_id.equal owner node)
   | None -> true
 
+(* [node]'s leaf for [vaddr] as (frame number, flags). Placement saves
+   and rewrites whole flag sets, so it decodes all of them. *)
 let leaf_of t ~(proc : Process.t) ~node ~vaddr =
   match Process.mm proc node with
   | None -> None
-  | Some mm -> Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr
+  | Some mm ->
+      let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io t.env) ~vaddr in
+      if Pte.present leaf then Some (Pte.frame ~isa:node leaf, Pte.flags ~isa:node leaf)
+      else None
 
 (* Invalidate both kernels' cached translations for the page. The actor's
    own flush is local; the peer's is a cross-ISA shootdown — one IPI

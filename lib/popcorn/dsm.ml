@@ -321,18 +321,21 @@ let check_invariants t ~proc =
             (fun (node, s) ->
               match (s, Process.mm proc node) with
               | (Owner f | Read_copy f), Some mm -> (
-                  match
+                  let leaf =
                     Page_table.walk mm.Process.pgtable silent_io ~vaddr:(vpage lsl Addr.page_shift)
-                  with
-                  | Some (frame, flags) ->
-                      if frame <> f lsr Addr.page_shift then
-                        fail "page 0x%x: PT frame disagrees with DSM state on %s" vpage
-                          (Node_id.to_string node);
-                      if flags.Pte.writable && not (match s with Owner _ -> true | _ -> false)
-                      then
-                        fail "page 0x%x writable at %s without ownership" vpage
-                          (Node_id.to_string node)
-                  | None -> () (* a state can outlive its mapping (pre-map fault) *))
+                  in
+                  (* a state can outlive its mapping (pre-map fault) *)
+                  if Pte.present leaf then begin
+                    if Pte.frame ~isa:node leaf <> f lsr Addr.page_shift then
+                      fail "page 0x%x: PT frame disagrees with DSM state on %s" vpage
+                        (Node_id.to_string node);
+                    if
+                      Pte.writable ~isa:node leaf
+                      && not (match s with Owner _ -> true | _ -> false)
+                    then
+                      fail "page 0x%x writable at %s without ownership" vpage
+                        (Node_id.to_string node)
+                  end)
               | (Owner _ | Read_copy _), None ->
                   fail "page 0x%x held by %s which has no mm" vpage (Node_id.to_string node)
               | Absent, _ -> ())

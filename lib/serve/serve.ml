@@ -178,55 +178,82 @@ let run cfg =
       next_q := !next_q + quantum_cycles
     done
   in
-  let rows = List.map (fun op -> (Workload.op_name op, hist ())) Workload.all_ops in
+  (* Per-op state lives in arrays indexed by [Workload.op_index], and
+     every counter is resolved once, so the request loop below allocates
+     nothing of its own. *)
+  let ops = Array.of_list Workload.all_ops in
+  let rows = Array.map (fun _ -> hist ()) ops in
+  let op_count =
+    Array.map (fun op -> Metrics.counter reg ("serve.op." ^ Workload.op_name op)) ops
+  in
+  let stalled_requests = Metrics.counter reg "serve.stalled_requests" in
+  let downtime_stall_cycles = Metrics.counter reg "serve.downtime_stall_cycles" in
+  let idle_cycles = Metrics.counter reg "serve.idle_cycles" in
+  let queue_wait_cycles = Metrics.counter reg "serve.queue_wait_cycles" in
   let all = hist () in
+  (* The value phase: the current request's keys, drawn into a reused
+     buffer and consumed one per value access. *)
+  let cur_op = ref Workload.Get in
+  let keys = Array.make Workload.mset_keys 0 in
+  let n_keys = ref 0 in
+  let next_key = ref 0 in
+  let draw_keys n =
+    for i = 0 to n - 1 do
+      keys.(i) <- Zipf.sample zipf key_rng
+    done;
+    n_keys := n;
+    next_key := 0
+  in
+  let value ~write =
+    if !next_key < !n_keys then begin
+      let k = keys.(!next_key) in
+      incr next_key;
+      let len =
+        match !cur_op with
+        | Workload.Scan -> Workload.slot_bytes * min Workload.scan_len (cfg.keys - k)
+        | Workload.Get | Workload.Set | Workload.Mset -> Workload.slot_bytes
+      in
+      access_span ~vaddr:(Workload.vaddr_of_key k) ~write ~len
+    end
+  in
+  (* passed as [?value], so the option is built once too *)
+  let value = Some value in
   let arrival = ref 0 in
   for _ = 1 to cfg.requests do
     arrival := !arrival + next_gap ();
     let op = Workload.pick cfg.mix mix_rng in
-    Metrics.incr reg ("serve.op." ^ Workload.op_name op);
+    cur_op := op;
+    let i = Workload.op_index op in
+    op_count.(i) 1;
     (* Admission: catch the quantum clock up, then start at whichever is
        latest of the server clock, the arrival stamp, and the end of any
        downtime window covering that instant. *)
     let start0 = max (Meter.get meter) !arrival in
     let start1 = past_downtime start0 in
     if start1 > start0 then begin
-      Metrics.incr reg "serve.stalled_requests";
-      Metrics.add reg "serve.downtime_stall_cycles" (start1 - start0)
+      stalled_requests 1;
+      downtime_stall_cycles (start1 - start0)
     end;
     pace start1;
     let start = max (Meter.get meter) start1 in
     if Meter.get meter < start then begin
-      Metrics.add reg "serve.idle_cycles" (start - Meter.get meter);
+      idle_cycles (start - Meter.get meter);
       Meter.set meter start
     end;
-    if start > !arrival then Metrics.add reg "serve.queue_wait_cycles" (start - !arrival);
+    if start > !arrival then queue_wait_cycles (start - !arrival);
     (* Service: the Redis cost model with the value phase routed at the
        keyspace through the kernel paths above. *)
-    let pending = ref [] in
-    let draw_keys n = List.init n (fun _ -> Zipf.sample zipf key_rng) in
-    let scan_start k = min k (max 0 (cfg.keys - Workload.scan_len)) in
     (match op with
-    | Workload.Mset -> pending := draw_keys Workload.mset_keys
-    | Workload.Get | Workload.Set -> pending := draw_keys 1
-    | Workload.Scan -> pending := [ scan_start (Zipf.sample zipf key_rng) ]);
-    let value ~write =
-      match !pending with
-      | [] -> ()
-      | k :: rest ->
-          pending := rest;
-          let len =
-            match op with
-            | Workload.Scan -> Workload.slot_bytes * min Workload.scan_len (cfg.keys - k)
-            | Workload.Get | Workload.Set | Workload.Mset -> Workload.slot_bytes
-          in
-          access_span ~vaddr:(Workload.vaddr_of_key k) ~write ~len
-    in
+    | Workload.Mset -> draw_keys Workload.mset_keys
+    | Workload.Get | Workload.Set -> draw_keys 1
+    | Workload.Scan ->
+        draw_keys 1;
+        keys.(0) <- min keys.(0) (max 0 (cfg.keys - Workload.scan_len)));
     let sp = Trace.span ~node ~subsys:"serve" ~op:(Workload.op_name op) ~flow_root:true () in
     let rop = Workload.redis_op op in
     Redis.deliver_to_server server ~bytes:(Redis.request_bytes rop ~payload:cfg.payload);
     let p0 = Meter.get meter in
-    Redis.process_op ~value server rop ~payload:cfg.payload;
+    Redis.process_op ?value server rop ~payload:cfg.payload;
     (match plan with
     | Some p when Plan.gray_armed p ->
         let d = Meter.get meter - p0 in
@@ -239,7 +266,7 @@ let run cfg =
         ~tags:[ ("arrival", string_of_int !arrival); ("latency_cycles", string_of_int latency) ]
     else Trace.close sp;
     let l = float_of_int latency in
-    Histogram.record (List.assoc (Workload.op_name op) rows) l;
+    Histogram.record rows.(i) l;
     Histogram.record all l
   done;
   pace (Meter.get meter);
@@ -254,7 +281,8 @@ let run cfg =
   Machine.exit_process machine proc;
   {
     o_os = Os.name (Machine.os machine);
-    o_rows = rows;
+    o_rows =
+      List.map (fun op -> (Workload.op_name op, rows.(Workload.op_index op))) Workload.all_ops;
     o_all = all;
     o_slo = Slo.evaluate cfg.slo all;
     o_wall = wall;

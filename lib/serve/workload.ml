@@ -6,6 +6,7 @@ type op = Get | Set | Mset | Scan
 
 let all_ops = [ Get; Set; Mset; Scan ]
 let op_name = function Get -> "get" | Set -> "set" | Mset -> "mset" | Scan -> "scan"
+let op_index = function Get -> 0 | Set -> 1 | Mset -> 2 | Scan -> 3
 
 let redis_op = function
   | Get -> Redis.Get

@@ -13,6 +13,9 @@ type op = Get | Set | Mset | Scan
 val all_ops : op list
 val op_name : op -> string
 
+val op_index : op -> int
+(** Position of the op in {!all_ops}. *)
+
 val redis_op : op -> Stramash_workloads.Redis.op
 (** The Redis cost-model op each serve op reuses ([Scan] borrows [Get]'s
     parse/index/socket shape; its value phase reads {!scan_len} slots). *)

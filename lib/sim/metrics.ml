@@ -14,6 +14,17 @@ let incr reg name = Stdlib.incr (cell reg name)
 let add reg name n = cell reg name |> fun r -> r := !r + n
 let set reg name n = cell reg name |> fun r -> r := n
 let get reg name = match Hashtbl.find_opt reg name with Some r -> !r | None -> 0
+
+let counter reg name =
+  let resolved = ref None in
+  fun n ->
+    match !resolved with
+    | Some r -> r := !r + n
+    | None ->
+        let r = cell reg name in
+        resolved := Some r;
+        r := !r + n
+
 let reset reg = Hashtbl.reset reg
 
 let names reg =

@@ -14,6 +14,12 @@ val set : registry -> string -> int -> unit
 val get : registry -> string -> int
 (** Missing counters read as 0. *)
 
+val counter : registry -> string -> int -> unit
+(** [counter reg name] behaves as [add reg name] but looks the cell up
+    once, on its first call, so a hot loop bumps it without hashing the
+    name. As with [add], the counter does not exist until that first
+    call. Do not [reset] [reg] while the function is in use. *)
+
 val reset : registry -> unit
 val names : registry -> string list
 (** Sorted counter names present in the registry. *)

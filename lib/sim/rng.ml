@@ -1,24 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   int64 field, which would box a fresh int64 on every draw; with the
+   get/set primitives and the inlined finaliser, [int] and [bool]
+   allocate nothing. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 finaliser: avalanche the raw counter value. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix state
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix seed }
+let split t = create ~seed:(mix (next_int64 t))
+
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,11 +38,11 @@ let int t bound =
      max_int = 2^62 - 1; rejection-sample so every residue class mod
      [bound] is equally likely. *)
   let limit = max_int - (((max_int mod bound) + 1) mod bound) in
-  let rec draw () =
-    let raw = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-    if raw > limit then draw () else raw mod bound
-  in
-  draw ()
+  let raw = ref (bits62 t) in
+  while !raw > limit do
+    raw := bits62 t
+  done;
+  !raw mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";

@@ -19,7 +19,7 @@ type t = {
   cut : float; (* acceptance shortcut: |k - x| below this always accepts *)
 }
 
-let h t x =
+let[@inline] h t x =
   (* point density h(x) = x^-theta *)
   exp (-.t.theta *. log x)
 
@@ -27,10 +27,10 @@ let h t x =
    the log/exp limit; near-1 exponents are numerically fine in the
    closed form because x^(1-theta) is evaluated via [**], not as a
    difference of large terms. *)
-let h_integral t x =
+let[@inline] h_integral t x =
   if t.one_minus_theta = 0.0 then log x else ((x ** t.one_minus_theta) -. 1.0) /. t.one_minus_theta
 
-let h_integral_inv t x =
+let[@inline] h_integral_inv t x =
   if t.one_minus_theta = 0.0 then exp x
   else (1.0 +. (x *. t.one_minus_theta)) ** (1.0 /. t.one_minus_theta)
 
@@ -47,16 +47,17 @@ let create ~n ~theta =
 let n t = t.n
 let theta t = t.theta
 
-let sample t rng =
-  let rec draw () =
-    (* u uniform in [h_n, h_x1): the area under H between the support's
-       outermost half-integer boundaries. *)
-    let u = t.h_n +. (Rng.float rng 1.0 *. (t.h_x1 -. t.h_n)) in
-    let x = h_integral_inv t u in
-    let k = int_of_float (Float.round x) in
-    let k = if k < 1 then 1 else if k > t.n then t.n else k in
-    if float_of_int k -. x <= t.cut then k
-    else if u >= h_integral t (float_of_int k +. 0.5) -. h t (float_of_int k) then k
-    else draw ()
-  in
-  draw () - 1
+(* A top-level loop, not a closure, and inlined float helpers: a sample
+   allocates only the boxed float [Rng.float] returns. *)
+let rec draw t rng =
+  (* u uniform in [h_n, h_x1): the area under H between the support's
+     outermost half-integer boundaries. *)
+  let u = t.h_n +. (Rng.float rng 1.0 *. (t.h_x1 -. t.h_n)) in
+  let x = h_integral_inv t u in
+  let k = int_of_float (Float.round x) in
+  let k = if k < 1 then 1 else if k > t.n then t.n else k in
+  if float_of_int k -. x <= t.cut then k
+  else if u >= h_integral t (float_of_int k +. 0.5) -. h t (float_of_int k) then k
+  else draw t rng
+
+let sample t rng = draw t rng - 1

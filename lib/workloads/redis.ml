@@ -91,10 +91,10 @@ let reply_from_server t ~bytes =
          path to pick the packet up before the next request is served. *)
       Env.charge_bytes_store t.env t.server_node ~paddr:t.socket_buf ~len:bytes;
       Meter.add (Env.meter t.env t.server_node) Ipi.cross_isa_ipi_cycles;
-      let tx = Stramash_sim.Meter.delta (Env.meter t.env origin) (fun () ->
-          Env.charge_bytes_load t.env origin ~paddr:t.socket_buf ~len:bytes)
-      in
-      Meter.add (Env.meter t.env t.server_node) tx
+      let origin_meter = Env.meter t.env origin in
+      let before = Meter.get origin_meter in
+      Env.charge_bytes_load t.env origin ~paddr:t.socket_buf ~len:bytes;
+      Meter.add (Env.meter t.env t.server_node) (Meter.get origin_meter - before)
   | Os.Vanilla -> assert false
 
 (* The value phase defaults to the server's private dataset pages; a
@@ -103,49 +103,47 @@ let reply_from_server t ~bytes =
    the parse and index-probe costs stay the server's own. The callback
    is invoked exactly once per [read_value]/[write_value] the default
    path would perform — ten times for [Mset], once otherwise. *)
+(* Top-level rather than closures inside [process_op], so a request
+   allocates nothing for them. *)
+let access_value t value ~write ~payload =
+  match value with
+  | Some f -> f ~write
+  | None ->
+      let charge = if write then Env.charge_bytes_store else Env.charge_bytes_load in
+      charge t.env t.server_node ~paddr:(value_addr t) ~len:payload
+
+let probe_index t n =
+  for _ = 1 to n do
+    Env.charge_load t.env t.server_node ~paddr:(value_addr t)
+  done
+
 let process_op ?value t op ~payload =
   let node = t.server_node in
-  let meter = Env.meter t.env node in
-  Meter.add meter parse_cycles;
-  let read_value () =
-    match value with
-    | Some f -> f ~write:false
-    | None -> Env.charge_bytes_load t.env node ~paddr:(value_addr t) ~len:payload
-  in
-  let write_value () =
-    match value with
-    | Some f -> f ~write:true
-    | None -> Env.charge_bytes_store t.env node ~paddr:(value_addr t) ~len:payload
-  in
-  let probe_index n =
-    for _ = 1 to n do
-      Env.charge_load t.env node ~paddr:(value_addr t)
-    done
-  in
+  Meter.add (Env.meter t.env node) parse_cycles;
   match op with
   | Get ->
-      probe_index 2;
-      read_value ()
+      probe_index t 2;
+      access_value t value ~write:false ~payload
   | Set ->
-      probe_index 2;
-      write_value ()
+      probe_index t 2;
+      access_value t value ~write:true ~payload
   | Lpush | Rpush ->
-      probe_index 1;
-      write_value ();
+      probe_index t 1;
+      access_value t value ~write:true ~payload;
       (* list node header + head/tail pointer update *)
       Env.charge_store t.env node ~paddr:(value_addr t);
       Env.charge_store t.env node ~paddr:(value_addr t)
   | Lpop | Rpop ->
-      probe_index 1;
-      read_value ();
+      probe_index t 1;
+      access_value t value ~write:false ~payload;
       Env.charge_store t.env node ~paddr:(value_addr t)
   | Sadd ->
-      probe_index 4;
-      write_value ()
+      probe_index t 4;
+      access_value t value ~write:true ~payload
   | Mset ->
       for _ = 1 to 10 do
-        probe_index 1;
-        write_value ()
+        probe_index t 1;
+        access_value t value ~write:true ~payload
       done
 
 let reply_bytes op = match op with Get | Lpop | Rpop -> 1024 | Set | Lpush | Rpush | Sadd | Mset -> 64

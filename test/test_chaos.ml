@@ -17,6 +17,7 @@ module Vma = Stramash_kernel.Vma
 module Process = Stramash_kernel.Process
 module Thread = Stramash_kernel.Thread
 module Page_table = Stramash_kernel.Page_table
+module Pte = Stramash_kernel.Pte
 module Futex = Stramash_kernel.Futex
 module Heartbeat = Stramash_interconnect.Heartbeat
 module Ipi = Stramash_interconnect.Ipi
@@ -68,7 +69,8 @@ let make_thread ~tid ~node =
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
+  let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr in
+  if Pte.present leaf then Some (Pte.frame ~isa:node leaf, Pte.flags ~isa:node leaf) else None
 
 (* ---------- liveness fencing epochs ---------- *)
 

@@ -16,6 +16,7 @@ module Kernel = Stramash_kernel.Kernel
 module Vma = Stramash_kernel.Vma
 module Process = Stramash_kernel.Process
 module Page_table = Stramash_kernel.Page_table
+module Pte = Stramash_kernel.Pte
 module Frame_alloc = Stramash_kernel.Frame_alloc
 module Ipi = Stramash_interconnect.Ipi
 module Msg_layer = Stramash_popcorn.Msg_layer
@@ -53,7 +54,8 @@ let make_setup ?inject ?global_alloc () =
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
+  let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr in
+  if Pte.present leaf then Some (Pte.frame ~isa:node leaf, Pte.flags ~isa:node leaf) else None
 
 (* ---------- Plan ---------- *)
 

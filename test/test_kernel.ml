@@ -100,7 +100,39 @@ let prop_pte_roundtrip =
     (fun (frame, ((writable, user), (accessed, (dirty, remote_owned)))) ->
       let flags = { Pte.present = true; writable; user; accessed; dirty; remote_owned } in
       List.for_all
-        (fun isa -> Pte.decode ~isa (Pte.encode ~isa ~frame flags) = Some (frame, flags))
+        (fun isa ->
+          let entry = Pte.encode ~isa ~frame flags in
+          Pte.decode ~isa (Int64.of_int entry) = Some (frame, flags)
+          && Pte.frame ~isa entry = frame
+          && Pte.flags ~isa entry = flags)
+        Node_id.all)
+
+(* Any 64-bit word, with bits 59..63 drawn separately so words that set
+   them (which no encoding does) are common. *)
+let arb_word =
+  QCheck.(
+    map
+      (fun (low, high) ->
+        Int64.logor (Int64.shift_right_logical low 5) (Int64.shift_left (Int64.of_int high) 59))
+      ~rev:(fun v -> (Int64.shift_left v 5, Int64.to_int (Int64.shift_right_logical v 59)))
+      (pair int64 (int_range 0 31)))
+
+(* Page_table reads an entry as the immediate int [Phys_mem.read_entry]
+   returns, dropping bit 63: the int accessors must read that int exactly
+   as the reference decoder reads the whole word. *)
+let prop_pte_accessors_agree =
+  QCheck.Test.make ~name:"pte int accessors agree with the 64-bit decoder" ~count:1000 arb_word
+    (fun word ->
+      let phys = Phys_mem.create () in
+      Phys_mem.write_u64 phys 0x1000 word;
+      let entry = Phys_mem.read_entry phys 0x1000 in
+      List.for_all
+        (fun isa ->
+          match Pte.decode ~isa word with
+          | None -> not (Pte.present entry)
+          | Some (frame, flags) ->
+              (* [Pte.flags] reads every field through its accessor *)
+              Pte.present entry && Pte.frame ~isa entry = frame && Pte.flags ~isa entry = flags)
         Node_id.all)
 
 let test_pte_formats_differ () =
@@ -110,13 +142,15 @@ let test_pte_formats_differ () =
   Alcotest.(check bool) "encodings differ" true (x <> a);
   (* Decoding with the wrong format misreads the permissions: the armish
      encoding of a writable page has no bit where x86ish keeps RW. *)
-  match Pte.decode ~isa:Node_id.X86 a with
-  | Some (_, f) -> Alcotest.(check bool) "cross-decode misreads writable" true (not f.Pte.writable)
-  | None -> ()
+  Alcotest.(check bool) "cross-decode misreads writable" true
+    (Pte.present a && not (Pte.writable ~isa:Node_id.X86 a))
 
 let test_pte_not_present () =
+  Alcotest.(check bool) "zero entry absent" false (Pte.present Pte.not_present);
   List.iter
-    (fun isa -> Alcotest.(check bool) "zero entry absent" true (Pte.decode ~isa Pte.not_present = None))
+    (fun isa ->
+      Alcotest.(check bool) "zero word decodes absent" true
+        (Pte.decode ~isa (Int64.of_int Pte.not_present) = None))
     Node_id.all
 
 (* ---------- Page_table ---------- *)
@@ -140,15 +174,14 @@ let test_page_table_map_walk () =
     (fun isa ->
       let pt, io, _, _ = make_pt isa in
       let vaddr = 0x12345000 in
-      Alcotest.(check bool) "unmapped walk" true (Page_table.walk pt io ~vaddr = None);
+      checki "unmapped walk" Pte.not_present (Page_table.walk pt io ~vaddr);
       Page_table.map pt io ~vaddr ~frame:0x777 Pte.default_flags;
-      (match Page_table.walk pt io ~vaddr with
-      | Some (frame, flags) ->
-          checki "frame" 0x777 frame;
-          Alcotest.(check bool) "writable" true flags.Pte.writable
-      | None -> Alcotest.fail "expected mapping");
+      let leaf = Page_table.walk pt io ~vaddr in
+      Alcotest.(check bool) "present" true (Pte.present leaf);
+      checki "frame" 0x777 (Pte.frame ~isa leaf);
+      Alcotest.(check bool) "writable" true (Pte.writable ~isa leaf);
       Alcotest.(check bool) "unmap" true (Page_table.unmap pt io ~vaddr);
-      Alcotest.(check bool) "gone" true (Page_table.walk pt io ~vaddr = None))
+      checki "gone" Pte.not_present (Page_table.walk pt io ~vaddr))
     Node_id.all
 
 let test_page_table_walk_charges_five_levels () =
@@ -175,9 +208,10 @@ let test_page_table_update_flags () =
   Page_table.map pt io ~vaddr:0x5000 ~frame:9 Pte.default_flags;
   Alcotest.(check bool) "update" true
     (Page_table.update_flags pt io ~vaddr:0x5000 { Pte.default_flags with writable = false });
-  match Page_table.walk pt io ~vaddr:0x5000 with
-  | Some (9, flags) -> Alcotest.(check bool) "now read-only" false flags.Pte.writable
-  | _ -> Alcotest.fail "mapping lost"
+  let leaf = Page_table.walk pt io ~vaddr:0x5000 in
+  Alcotest.(check bool) "still mapped" true (Pte.present leaf);
+  checki "same frame" 9 (Pte.frame ~isa:Node_id.X86 leaf);
+  Alcotest.(check bool) "now read-only" false (Pte.writable ~isa:Node_id.X86 leaf)
 
 (* ---------- Tlb ---------- *)
 
@@ -346,7 +380,9 @@ let test_kernel_boot () =
   let table = Kernel.alloc_table_page k in
   Alcotest.(check int64) "table pages are zeroed" 0L (Phys_mem.read_u64 phys table)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_rbtree_model; prop_pte_roundtrip ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_rbtree_model; prop_pte_roundtrip; prop_pte_accessors_agree ]
 
 let () =
   Alcotest.run "kernel"

@@ -10,6 +10,9 @@ module Runner = Stramash_machine.Runner
 module Spec = Stramash_machine.Spec
 module Thread = Stramash_kernel.Thread
 module Env = Stramash_kernel.Env
+module Page_table = Stramash_kernel.Page_table
+module Process = Stramash_kernel.Process
+module Pte = Stramash_kernel.Pte
 module Tlb = Stramash_kernel.Tlb
 module Cache_sim = Stramash_cache.Cache_sim
 module Mmu = Stramash_machine.Mmu
@@ -186,6 +189,77 @@ let test_mmu_remote_fault_then_tlb_hit () =
   checki "second access hits the TLB" (hits + 1) (Tlb.hits tlb);
   checki "and does not miss" misses (Tlb.misses tlb)
 
+(* ---------- zero allocation on the translation path ---------- *)
+
+(* Four times the TLB's 64 entries of eagerly mapped pages: a round-robin
+   sweep over them misses the direct-mapped TLB on every access. *)
+let swept_pages = 256
+
+let swept_spec () =
+  {
+    Spec.name = "swept";
+    description = "";
+    mir = B.finish (B.create ());
+    segments = [ Spec.segment ~base:data_base ~len:(swept_pages * 4096) () ];
+    migration_targets = [];
+  }
+
+let load_swept () =
+  let machine = Machine.create { Machine.default_config with os = Machine.Stramash_kernel_os } in
+  let proc, _ = Machine.load machine (swept_spec ()) in
+  (machine, proc)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+(* A charged walk returns the leaf as an immediate int: after warm-up,
+   walks that find a leaf, miss a leaf and miss a whole directory chain
+   allocate nothing at all. *)
+let test_walk_allocates_nothing () =
+  let machine, proc = load_swept () in
+  let pgtable = (Process.mm_exn proc Node_id.X86).Process.pgtable in
+  let io = Env.pt_io (Machine.env machine) ~actor:Node_id.X86 ~owner:Node_id.X86 in
+  let vaddrs =
+    Array.init (3 * swept_pages) (fun i ->
+        match i / swept_pages with
+        | 0 -> data_base + (i * 4096) (* mapped *)
+        | 1 -> data_base + (i * 4096) (* past the segment: no leaf *)
+        | _ -> (1 lsl 40) + (i * 4096) (* no directories *))
+  in
+  let present = ref 0 in
+  let walk_all () =
+    for i = 0 to Array.length vaddrs - 1 do
+      if Pte.present (Page_table.walk pgtable io ~vaddr:vaddrs.(i)) then incr present
+    done
+  in
+  walk_all ();
+  let words = minor_words walk_all in
+  checki "mapped pages found twice" (2 * swept_pages) !present;
+  checki (Printf.sprintf "minor words over %d walks" (Array.length vaddrs)) 0 words
+
+(* A TLB miss on a mapped page walks the table and inserts the entry;
+   the 3-word [Tlb.entry] record is the only allocation left. *)
+let test_tlb_miss_allocates_entry_only () =
+  let machine, proc = load_swept () in
+  let tlb = Env.tlb (Machine.env machine) Node_id.X86 in
+  let mmu = Mmu.create machine proc ~node:Node_id.X86 in
+  let sweep () =
+    for i = 0 to swept_pages - 1 do
+      ignore (Mmu.access mmu Cache_sim.Load ~vaddr:(data_base + (i * 4096)))
+    done
+  in
+  sweep ();
+  let misses = Tlb.misses tlb in
+  let words = minor_words sweep in
+  let misses = Tlb.misses tlb - misses in
+  checki "every access misses the TLB" swept_pages misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor words over %d misses" words misses)
+    true
+    (words <= 3 * misses)
+
 let test_spawn_thread_entry () =
   let b = B.create () in
   (* main: store 1 then halt *)
@@ -318,8 +392,12 @@ let () =
           Alcotest.test_case "segfault" `Quick test_segfault_detected;
         ] );
       ( "mmu",
-        [ Alcotest.test_case "remote fault then TLB hit" `Quick test_mmu_remote_fault_then_tlb_hit ]
-      );
+        [
+          Alcotest.test_case "remote fault then TLB hit" `Quick test_mmu_remote_fault_then_tlb_hit;
+          Alcotest.test_case "walk allocates nothing" `Quick test_walk_allocates_nothing;
+          Alcotest.test_case "TLB miss allocates the entry only" `Quick
+            test_tlb_miss_allocates_entry_only;
+        ] );
       ( "threads",
         [ Alcotest.test_case "spawn entry" `Quick test_spawn_thread_entry ] );
       ( "multiprocess",

@@ -12,6 +12,7 @@ module Kernel = Stramash_kernel.Kernel
 module Vma = Stramash_kernel.Vma
 module Process = Stramash_kernel.Process
 module Page_table = Stramash_kernel.Page_table
+module Pte = Stramash_kernel.Pte
 module Msg_layer = Stramash_popcorn.Msg_layer
 module Dsm = Stramash_popcorn.Dsm
 module Fault = Stramash_fault_inject.Fault
@@ -88,7 +89,8 @@ let fault dsm ~proc ~node ~vaddr ~write =
 
 let walk_frame env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
+  let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr in
+  if Pte.present leaf then Some (Pte.frame ~isa:node leaf, Pte.flags ~isa:node leaf) else None
 
 let test_origin_fault_allocates_locally () =
   let env = make_env () in
@@ -100,7 +102,7 @@ let test_origin_fault_allocates_locally () =
   | Some (frame, flags) ->
       Alcotest.(check bool) "frame in x86 memory" true
         (Layout.region_contains Layout.x86_private (frame lsl Addr.page_shift));
-      Alcotest.(check bool) "writable" true flags.Stramash_kernel.Pte.writable
+      Alcotest.(check bool) "writable" true flags.Pte.writable
   | None -> Alcotest.fail "not mapped");
   checki "no messages for local faults" 0 (Msg_layer.message_count msg);
   checki "no replication" 0 (Dsm.replicated_pages dsm)
@@ -122,7 +124,7 @@ let test_remote_read_replicates () =
   | Some (frame, flags) ->
       Alcotest.(check bool) "replica is arm-local" true
         (Layout.region_contains Layout.arm_private (frame lsl Addr.page_shift));
-      Alcotest.(check bool) "replica read-only" false flags.Stramash_kernel.Pte.writable;
+      Alcotest.(check bool) "replica read-only" false flags.Pte.writable;
       Alcotest.(check int64) "content copied" 0xABCL
         (Phys_mem.read_u64 env.Env.phys ((frame lsl Addr.page_shift) + 16))
   | None -> Alcotest.fail "replica not mapped");
@@ -139,7 +141,7 @@ let test_remote_write_takes_ownership () =
   (* the origin's PTE must now be gone (single-writer protocol) *)
   Alcotest.(check bool) "origin invalidated" true (walk_frame env proc x86 vaddr0 = None);
   (match walk_frame env proc arm vaddr0 with
-  | Some (_, flags) -> Alcotest.(check bool) "arm owner writable" true flags.Stramash_kernel.Pte.writable
+  | Some (_, flags) -> Alcotest.(check bool) "arm owner writable" true flags.Pte.writable
   | None -> Alcotest.fail "arm not mapped")
 
 let test_upgrade_from_read_copy () =

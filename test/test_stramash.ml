@@ -51,7 +51,8 @@ let vaddr0 = 0x10000000
 
 let silent_walk env proc node vaddr =
   let mm = Process.mm_exn proc node in
-  Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr
+  let leaf = Page_table.walk mm.Process.pgtable (Env.silent_io env) ~vaddr in
+  if Pte.present leaf then Some (Pte.frame ~isa:node leaf, Pte.flags ~isa:node leaf) else None
 
 (* ---------- Fused VAS ---------- *)
 
@@ -90,12 +91,11 @@ let test_remote_walk_decodes_other_format () =
   let env, _msg, faults, proc = make_setup () in
   Stramash_fault.handle_fault_exn faults ~proc ~node:x86 ~vaddr:vaddr0 ~write:true;
   let omm = Process.mm_exn proc x86 in
-  match Remote_walker.walk env ~actor:arm ~owner_mm:omm ~vaddr:vaddr0 with
-  | Some (frame, flags) ->
-      Alcotest.(check bool) "decoded frame points into x86 memory" true
-        (Layout.region_contains Layout.x86_private (frame lsl Addr.page_shift));
-      Alcotest.(check bool) "flags decoded" true flags.Pte.writable
-  | None -> Alcotest.fail "remote walk failed"
+  let leaf = Remote_walker.walk env ~actor:arm ~owner_mm:omm ~vaddr:vaddr0 in
+  if not (Pte.present leaf) then Alcotest.fail "remote walk failed";
+  Alcotest.(check bool) "decoded frame points into x86 memory" true
+    (Layout.region_contains Layout.x86_private (Pte.frame ~isa:x86 leaf lsl Addr.page_shift));
+  Alcotest.(check bool) "flags decoded" true (Pte.writable ~isa:x86 leaf)
 
 let test_remote_walk_charges_actor () =
   let env, _msg, faults, proc = make_setup () in
